@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -105,14 +106,11 @@ def _constants(settings: dict) -> PhysicalConstants:
     constants = DEFAULT_CONSTANTS
     if "mass_amu" in settings:
         constants = constants.with_mass_amu(settings["mass_amu"])
-    if "hyperfine_2pi_ghz" in settings or "g_factor" in settings:
-        constants = PhysicalConstants(
-            charge=constants.charge, epsilon0=constants.epsilon0,
-            hbar=constants.hbar, mu_b=constants.mu_b, amu=constants.amu,
-            mass=constants.mass,
-            g_factor=settings.get("g_factor", constants.g_factor),
-            hyperfine=TWO_PI * settings["hyperfine_2pi_ghz"] * 1e9
-            if "hyperfine_2pi_ghz" in settings else constants.hyperfine)
+    if "g_factor" in settings:
+        constants = replace(constants, g_factor=settings["g_factor"])
+    if "hyperfine_2pi_ghz" in settings:
+        constants = replace(constants,
+                            hyperfine=TWO_PI * settings["hyperfine_2pi_ghz"] * 1e9)
     return constants
 
 

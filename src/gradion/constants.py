@@ -6,7 +6,7 @@ the reporting layer divides by 2*pi where a table wants cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,11 +56,7 @@ class PhysicalConstants:
         return self.charge**2 / (4.0 * np.pi * self.epsilon0)
 
     def with_mass_amu(self, mass_amu: float) -> "PhysicalConstants":
-        return PhysicalConstants(
-            charge=self.charge, epsilon0=self.epsilon0, hbar=self.hbar,
-            mu_b=self.mu_b, amu=self.amu, mass=mass_amu * self.amu,
-            g_factor=self.g_factor, hyperfine=self.hyperfine,
-        )
+        return replace(self, mass=mass_amu * self.amu)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -21,6 +21,7 @@ silently flips downstream correction operators if changed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class FieldConfig:
     eta: float = 1e-6
 
     def __post_init__(self) -> None:
+        # scalar checks: the search builds one FieldConfig per evaluation
+        if not (math.isfinite(self.gradient) and math.isfinite(self.b0)
+                and math.isfinite(self.eta)):
+            raise ValueError("field gradient, b0 and eta must be finite")
         if self.gradient < 0.0:
             raise ValueError("field gradient must be non-negative")
         if self.eta < 0.0:

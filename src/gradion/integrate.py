@@ -1,4 +1,4 @@
-"""Fixed-step Schrodinger integration of pulse schedules.
+"""Exact Schrodinger propagation of pulse schedules.
 
 The validation oracle for the ideal segment model: every segment evolves
 under a constant Hamiltonian -- the spin-spin terms during free intervals,
@@ -7,11 +7,10 @@ and during pulses the co-rotating drive
     H_drive = -(Omega/2) (e^{-i phi} sigma_+ + e^{i phi} sigma_-)
 
 on the addressed ion, optionally plus the spin-spin terms the ideal model
-ignores while pulsing. Classic fourth-order Runge-Kutta with a fixed step;
-free intervals use a coarser step scaled by ``free_step_factor`` (their
-frequencies are ~J, three orders below the Rabi frequency). Interaction
-frame only; the counter-rotating lab-frame problem at qubit frequency is
-out of scope.
+ignores while pulsing. A constant Hermitian H = V diag(E) V^dagger has the
+closed-form propagator V exp(-i E t) V^dagger, so each segment is exact up
+to float round-off and no step size enters. Interaction frame only; the
+counter-rotating lab-frame problem at qubit frequency is out of scope.
 """
 
 from __future__ import annotations
@@ -26,28 +25,16 @@ from .pulses import (INTERACTION, FreeEvolution, PulseSchedule, PulseSlot,
                      SpinState, apply_schedule, spin_energies)
 
 
-class IntegrationStepError(RuntimeError):
-    """Norm drift exceeded the sanity bound; the step is too large."""
-
-    def __init__(self, drift: float):
-        super().__init__(
-            f"norm drifted by {drift:.3e} (> 1e-6); reduce the integration step")
-        self.drift = drift
-
-
 @dataclass(frozen=True)
 class DriveModel:
-    """What the integrator includes beyond the ideal segment model.
+    """What the propagator includes beyond the ideal segment model.
 
     include_ising
         Keep the spin-spin terms active during pulses (the ideal model drops
         them there). Setting False makes pulse segments exactly single-qubit.
-    free_step_factor
-        Step multiplier for free intervals.
     """
 
     include_ising: bool = True
-    free_step_factor: float = 1000.0
 
 
 @dataclass(frozen=True)
@@ -55,20 +42,6 @@ class IntegrationResult:
     state: SpinState
     fidelity_to_ideal: float
     norm_drift: float
-    steps: int
-
-
-def _rk4_constant(hamiltonian: np.ndarray, y: np.ndarray, duration: float,
-                  nsteps: int) -> np.ndarray:
-    A = -1j * hamiltonian
-    dt = duration / nsteps
-    for _ in range(nsteps):
-        k1 = A @ y
-        k2 = A @ (y + 0.5 * dt * k1)
-        k3 = A @ (y + 0.5 * dt * k2)
-        k4 = A @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 def _drive_hamiltonian(slot: PulseSlot) -> tuple[np.ndarray, float]:
@@ -85,53 +58,37 @@ def _drive_hamiltonian(slot: PulseSlot) -> tuple[np.ndarray, float]:
 
 def segment_hamiltonians(schedule: PulseSchedule, couplings: CouplingSet,
                          drive: DriveModel):
-    """(hamiltonian, physical duration, is_pulse) per segment, in order."""
+    """(hamiltonian, physical duration) per segment, in order."""
     h_spin = np.diag(spin_energies(couplings, schedule.frame)).astype(complex)
     for item in schedule.items:
         if isinstance(item, FreeEvolution):
-            yield h_spin, item.duration, False
+            yield h_spin, item.duration
         else:
             h_drive, duration = _drive_hamiltonian(item)
             if drive.include_ising:
                 h_drive = h_drive + h_spin
-            yield h_drive, duration, True
+            yield h_drive, duration
 
 
-def integrate_segment_unitary(hamiltonian: np.ndarray, duration: float,
-                              dt: float) -> np.ndarray:
-    nsteps = max(1, int(np.ceil(duration / dt)))
-    return _rk4_constant(hamiltonian, np.eye(8, dtype=complex), duration, nsteps)
+def integrate_segment_unitary(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i H t) of a constant Hermitian H, from its eigendecomposition."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return (vectors * np.exp(-1j * energies * duration)) @ vectors.conj().T
 
 
 def integrate_exact(state: SpinState, schedule: PulseSchedule, couplings: CouplingSet,
-                    drive: DriveModel | None = None, step: float = 1e-9,
-                    ) -> IntegrationResult:
-    """Integrate the schedule and report fidelity against the ideal model.
-
-    ``step`` is the pulse-segment time step; free intervals use
-    ``step * drive.free_step_factor``. Halving ``step`` halves both, so the
-    global error falls as step^4.
-    """
+                    drive: DriveModel | None = None) -> IntegrationResult:
+    """Propagate the schedule exactly and report fidelity against the ideal model."""
     if schedule.frame != INTERACTION:
         raise ValueError("the integrator works in the interaction frame only")
     if state.frame != schedule.frame:
         raise ValueError("state and schedule frames differ")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    drive = drive or DriveModel()
-    psi = state.amplitudes.copy()
-    total_steps = 0
-    for hamiltonian, duration, is_pulse in segment_hamiltonians(schedule, couplings, drive):
-        if duration == 0.0:
-            continue
-        dt = step if is_pulse else step * drive.free_step_factor
-        nsteps = max(1, int(np.ceil(duration / dt)))
-        psi = _rk4_constant(hamiltonian, psi, duration, nsteps)
-        total_steps += nsteps
+    psi = state.amplitudes
+    for hamiltonian, duration in segment_hamiltonians(schedule, couplings,
+                                                      drive or DriveModel()):
+        psi = integrate_segment_unitary(hamiltonian, duration) @ psi
     drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > 1e-6:
-        raise IntegrationStepError(drift)
     ideal = apply_schedule(state, schedule, couplings)
     fidelity = float(abs(np.vdot(ideal.amplitudes, psi)) ** 2)
     return IntegrationResult(SpinState(psi / np.linalg.norm(psi), state.frame),
-                             fidelity, float(drift), total_steps)
+                             fidelity, float(drift))

@@ -12,10 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 HADAMARD_2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 

@@ -10,7 +10,9 @@ ordered list of segments: pulse slots (one or more simultaneous rotations
 on distinct ions, booked at the fixed implementation time t_m) and free
 intervals. Segment unitaries are ideal: rotations act instantaneously and
 spin-spin phases accrue only during free intervals; `integrate.integrate_exact`
-quantifies what that idealization discards.
+propagates the full constant Hamiltonian of every segment exactly, spin-spin
+terms included during pulses, and so quantifies what that idealization
+discards.
 
 Sign conventions (sigma_z |1> = +|1>) make two identities hold exactly:
 
@@ -427,6 +429,9 @@ def parse_schedule(text: str) -> PulseSchedule:
         line = raw.split("#", 1)[0].strip() if not raw.lstrip().startswith("#") else ""
         if raw.lstrip().startswith("# frame="):
             frame = raw.split("=", 1)[1].strip()
+            if frame not in FRAMES:
+                raise ValueError(f"schedule line {lineno}: unknown frame {frame!r}; "
+                                 f"choose from {FRAMES}")
             continue
         if not line:
             continue
@@ -436,6 +441,8 @@ def parse_schedule(text: str) -> PulseSchedule:
                 items.append(FreeEvolution(float(fields[1])))
             elif fields[0] == "PULSE" and len(fields) == 6:
                 ion = int(fields[1])
+                if ion not in (1, 2, 3):
+                    raise ValueError(f"ion index must be 1, 2, or 3, got {ion}")
                 theta, phi, rabi, dur = map(float, fields[2:])
                 items.append(PulseSlot((Pulse(ion, theta, phi, rabi, dur),), dur))
             else:

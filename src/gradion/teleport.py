@@ -10,7 +10,8 @@ probability 1/4 and leave ion 3 one Pauli away from the input:
 
 Gate modes: "ideal" applies exact gate matrices (zero duration);
 "scheduled" composes the microwave pulse schedules segment by segment;
-"integrated" replaces each segment unitary with the Runge-Kutta solution.
+"integrated" replaces each segment unitary with the exact propagator of its
+constant Hamiltonian, spin-spin terms kept active during pulses.
 Optional per-qubit dephasing (phase damping applied after every schedule
 segment, scaled by the segment's wall-clock duration) switches the run to
 density-matrix propagation; it requires a mode with durations, so "ideal"
@@ -26,8 +27,8 @@ import numpy as np
 
 from .couplings import CouplingSet
 from .integrate import DriveModel, integrate_segment_unitary, segment_hamiltonians
-from .operators import (cnot_matrix, embed, hadamard_matrix, projector_12,
-                        reduced_density)
+from .operators import (cnot_matrix, embed, hadamard_matrix, pauli_z,
+                        projector_12, reduced_density)
 from .pulses import (INTERACTION, PulseSchedule, PulseSlot, Pulse, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
                      hadamard_schedule, segment_unitary)
@@ -61,7 +62,6 @@ class ProtocolConfig:
     dephasing: tuple[float, float, float] = (0.0, 0.0, 0.0)
     t_m: float = T_M_DEFAULT
     rabi: float = RABI_DEFAULT
-    step: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.gate_mode not in GATE_MODES:
@@ -235,8 +235,7 @@ class _DensityTracker:
     def __init__(self, state: SpinState, rates):
         self.rho = np.outer(state.amplitudes, state.amplitudes.conj())
         self.rates = rates
-        self.z_ops = [embed(np.array([[-1, 0], [0, 1]], dtype=complex), q)
-                      for q in (1, 2, 3)]
+        self.z_ops = [pauli_z(q) for q in (1, 2, 3)]
 
     def unitary(self, U: np.ndarray) -> None:
         self.rho = U @ self.rho @ U.conj().T
@@ -262,14 +261,12 @@ class _DensityTracker:
         return (k >> 1, k & 1), p
 
 
-def _segment_unitaries(schedule: PulseSchedule, couplings: CouplingSet,
-                       mode: str, step: float):
+def _segment_unitaries(schedule: PulseSchedule, couplings: CouplingSet, mode: str):
     """(unitary, wall-clock duration) per segment under the chosen gate model."""
     if mode == "integrated":
         hams = segment_hamiltonians(schedule, couplings, DriveModel())
-        for item, (H, physical, is_pulse) in zip(schedule.items, hams):
-            dt = step if is_pulse else step * DriveModel().free_step_factor
-            yield integrate_segment_unitary(H, physical, dt), item.duration
+        for item, (H, physical) in zip(schedule.items, hams):
+            yield integrate_segment_unitary(H, physical), item.duration
     else:
         for item in schedule.items:
             yield segment_unitary(item, couplings, schedule.frame), item.duration
@@ -310,7 +307,7 @@ def run_teleport(config: ProtocolConfig,
         nonlocal amps
         durations[name] = schedule.total_duration
         for U, wall in _segment_unitaries(schedule, config.couplings,
-                                          config.gate_mode, config.step):
+                                          config.gate_mode):
             if tracker is not None:
                 tracker.unitary(U)
                 tracker.dephase(wall)

@@ -70,6 +70,8 @@ class TrapLayout:
         object.__setattr__(self, "frequencies", freqs)
         if centers.shape != (3,) or freqs.shape != (3,):
             raise ValueError("layout needs exactly three trap centers and frequencies")
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(freqs))):
+            raise ValueError("trap centers and frequencies must be finite")
         if np.any(freqs <= 0.0):
             raise ValueError("trap frequencies must be strictly positive")
         if not np.isclose(freqs[0], freqs[2], rtol=1e-12):

@@ -15,7 +15,7 @@ from .couplings import (CouplingSet, FieldConfig, compute_couplings,
                         heating_time_scaled, neighbor_resonance_shift)
 from .integrate import DriveModel, integrate_exact
 from .operators import cnot_matrix, deviation_up_to_phase, max_unitarity_defect
-from .presets import REFERENCE, preset_layout_field
+from .presets import PRESETS, REFERENCE, preset_layout_field
 from .pulses import (FreeEvolution, INTERACTION, LAB, PulseSchedule, SpinState,
                      build_cnot, refocused_zz, schedule_unitary,
                      single_qubit_rotation)
@@ -55,22 +55,17 @@ def check_table1_d4():
 
 def check_table3_rows():
     worst = 0.0
-    for h_um in (2, 3, 4, 5, 6):
-        ref = REFERENCE[f"table3-h{h_um}"]
-        preset_w = TWO_PI * 1e6 * {2: 1.77, 3: 0.966, 4: 0.628, 5: 0.449, 6: 0.342}[h_um]
-        w = linear_frequency_for_spacing(h_um * 1e-6)
-        worst = max(worst, abs(w / preset_w - 1.0) / 0.02)
+    for name in (f"table3-h{h_um}" for h_um in range(2, 7)):
+        row, ref = PRESETS[name], REFERENCE[name]
+        w = linear_frequency_for_spacing(row["h_um"] * 1e-6)
+        worst = max(worst, abs(w / (TWO_PI * 1e6 * row["w_2pi_mhz"]) - 1.0) / 0.02)
         layout = TrapLayout.linear(w)
         eq = solve_equilibrium(layout)
         modes = normal_modes(layout, eq)
-        c = compute_couplings(modes, FieldConfig(ref_gradient(h_um)), eq)
+        c = compute_couplings(modes, FieldConfig(row["gradient_t_per_m"]), eq)
         worst = max(worst, abs(c.J / (TWO_PI * 1e3) / ref["j_2pi_khz"] - 1.0) / 0.03)
         worst = max(worst, abs(c.J13 / (TWO_PI * 1e3) / ref["j13_2pi_khz"] - 1.0) / 0.03)
     return "table3 rows (W from h; J, J13)", worst < 1.0, f"worst margin use {worst:.2f}"
-
-
-def ref_gradient(h_um: int) -> float:
-    return {2: 750.0, 3: 300.0, 4: 150.0, 5: 100.0, 6: 50.0}[h_um]
 
 
 def check_modes_d4():
@@ -188,7 +183,7 @@ def check_integrator():
     c = _pipeline("table1-d4")[4]
     sched = PulseSchedule(build_cnot(2, 3, c).items[:1], INTERACTION)
     state = SpinState.product([1, 1], [1, -1], [1, 1j])
-    res = integrate_exact(state, sched, c, DriveModel(include_ising=False), step=1e-9)
+    res = integrate_exact(state, sched, c, DriveModel(include_ising=False))
     ideal = single_qubit_rotation(3, np.pi / 2, np.pi / 2) @ state.amplitudes
     err = np.linalg.norm(res.state.amplitudes - ideal)
     return "integrator matches ideal pulses", err < 1e-8, f"state error {err:.2e}"

@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import gradion as g
 from gradion.operators import max_unitarity_defect
 
-from util import (cnot_permutation, haar_qubit, phase_aligned_deviation,
-                  random_couplings)
+from util import (cnot_permutation, drive_hamiltonian_oracle, haar_qubit,
+                  phase_aligned_deviation, random_couplings, spin_hamiltonian_oracle)
 
 
 class Stopwatch:
@@ -209,19 +210,20 @@ def test_criterion_9_integrator_consistency():
     sched = g.PulseSchedule((slot,), g.INTERACTION)
     state = g.SpinState.product([1, 1j], [1, -1], [0.6, 0.8])
     with Stopwatch() as sw:
-        res = g.integrate_exact(state, sched, c,
-                                g.DriveModel(include_ising=False), step=1e-9)
+        res = g.integrate_exact(state, sched, c, g.DriveModel(include_ising=False))
         ideal = g.single_qubit_rotation(2, np.pi, 0.4) @ state.amplitudes
         pulse_err = float(np.linalg.norm(res.state.amplitudes - ideal))
         assert pulse_err < 1e-8
 
         items = sched.items + (g.FreeEvolution(2e-4),)
         longer = g.PulseSchedule(items, g.INTERACTION)
-        outs = [g.integrate_exact(state, longer, c, step=s).state.amplitudes
-                for s in (4e-9, 2e-9, 1e-9)]
-        e1 = np.linalg.norm(outs[0] - outs[1])
-        e2 = np.linalg.norm(outs[1] - outs[2])
-        order = float(np.log2(e1 / e2))
-        assert order >= 3.5
+        out = g.integrate_exact(state, longer, c).state.amplitudes
+        h_spin = spin_hamiltonian_oracle(np.zeros(3), c.J, c.J13)
+        h_pulse = drive_hamiltonian_oracle(2, 0.4, rabi) + h_spin
+        want = (expm(-1j * h_spin * 2e-4) @ expm(-1j * h_pulse * np.pi / rabi)
+                @ state.amplitudes)
+        oracle_err = float(np.linalg.norm(out - want))
+        assert oracle_err <= 1e-12
+    assert sw.elapsed < 1.0
     report(9, sw.elapsed,
-           f"pulse-limit error {pulse_err:.2e}, observed order {order:.2f}")
+           f"pulse-limit error {pulse_err:.2e}, expm oracle error {oracle_err:.2e}")

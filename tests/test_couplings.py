@@ -41,6 +41,21 @@ class TestQubitFrequencies:
             g.neighbor_resonance_shift(g.FieldConfig(500.0), -1e-6)
 
 
+class TestFieldValidation:
+    @pytest.mark.parametrize("name", ["gradient", "b0", "eta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        values = {"gradient": 500.0, "b0": 1.0, "eta": 1e-6, name: bad}
+        with pytest.raises(ValueError, match="finite"):
+            g.FieldConfig(**values)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            g.FieldConfig(-1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            g.FieldConfig(500.0, eta=-1e-6)
+
+
 class TestCouplings:
     def test_table1_d4_values(self, d4_pipeline):
         *_, couplings = d4_pipeline

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import gradion as g
-from gradion.integrate import DriveModel
+from gradion.integrate import (DriveModel, integrate_segment_unitary,
+                               segment_hamiltonians)
+from gradion.operators import max_unitarity_defect
+from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
 
-from util import random_couplings
+from util import drive_hamiltonian_oracle, random_couplings, spin_hamiltonian_oracle
 
 
 def plus_state():
@@ -16,13 +20,18 @@ def one_pulse_schedule(ion=2, theta=np.pi, phi=0.3, rabi=g.TWO_PI * 1e6):
     return g.PulseSchedule((slot,), g.INTERACTION)
 
 
+def preset_couplings(name):
+    layout, field = g.preset_layout_field(name)
+    eq = g.solve_equilibrium(layout)
+    return g.compute_couplings(g.normal_modes(layout, eq), field, eq)
+
+
 class TestPulseLimit:
     def test_matches_ideal_rotation_without_ising(self, rng):
         couplings = random_couplings(rng)
         state = plus_state()
         sched = one_pulse_schedule()
-        res = g.integrate_exact(state, sched, couplings,
-                                DriveModel(include_ising=False), step=1e-9)
+        res = g.integrate_exact(state, sched, couplings, DriveModel(include_ising=False))
         ideal = g.single_qubit_rotation(2, np.pi, 0.3) @ state.amplitudes
         assert np.linalg.norm(res.state.amplitudes - ideal) < 1e-8
         assert res.fidelity_to_ideal == pytest.approx(1.0, abs=1e-10)
@@ -34,35 +43,57 @@ class TestPulseLimit:
                             g.Pulse(3, np.pi, 0.0, rabi, np.pi / rabi)), 2.5e-6)
         sched = g.PulseSchedule((slot,), g.INTERACTION)
         state = plus_state()
-        res = g.integrate_exact(state, sched, couplings,
-                                DriveModel(include_ising=False), step=1e-9)
+        res = g.integrate_exact(state, sched, couplings, DriveModel(include_ising=False))
         ideal = (g.single_qubit_rotation(3, np.pi, 0.0)
                  @ g.single_qubit_rotation(2, np.pi, 0.0) @ state.amplitudes)
         assert np.linalg.norm(res.state.amplitudes - ideal) < 1e-8
 
 
-class TestConvergence:
-    def test_fourth_order_step_halving(self, d4_pipeline):
+class TestExpmOracle:
+    @pytest.mark.parametrize("preset", sorted(g.PRESETS))
+    def test_protocol_segments_match_expm(self, preset):
+        # every segment the integrated teleport mode propagates: the three
+        # coherent stages and all four correction schedules, each distinct
+        # (H, t) once, since scipy's expm dominates the run time
+        couplings = preset_couplings(preset)
+        schedules = list(protocol_schedules(couplings).values())
+        schedules += [correction_schedule(bits) for bits in CORRECTIONS]
+        segments = {(H.tobytes(), t): (H, t) for sched in schedules
+                    for H, t in segment_hamiltonians(sched, couplings, DriveModel())}
+        worst = max(float(np.max(np.abs(integrate_segment_unitary(H, t)
+                                        - expm(-1j * H * t))))
+                    for H, t in segments.values())
+        assert worst <= 1e-12
+
+    def test_pulse_and_free_schedule_matches_oracle(self, d4_pipeline):
+        # independent Hamiltonians: the drive and spin terms from tests/util.py
         couplings = d4_pipeline[4]
-        # one pulse plus a free interval, all step sizes scale together
-        items = one_pulse_schedule().items + (g.FreeEvolution(2e-4),)
+        rabi = g.TWO_PI * 1e6
+        items = one_pulse_schedule(rabi=rabi).items + (g.FreeEvolution(2e-4),)
         sched = g.PulseSchedule(items, g.INTERACTION)
         state = plus_state()
+        res = g.integrate_exact(state, sched, couplings)
+        h_spin = spin_hamiltonian_oracle(np.zeros(3), couplings.J, couplings.J13)
+        h_pulse = drive_hamiltonian_oracle(2, 0.3, rabi) + h_spin
+        want = (expm(-1j * h_spin * 2e-4) @ expm(-1j * h_pulse * np.pi / rabi)
+                @ state.amplitudes)
+        assert np.linalg.norm(res.state.amplitudes - want) <= 1e-12
+        assert res.norm_drift <= 1e-13
 
-        outs = []
-        for step in (4e-9, 2e-9, 1e-9):
-            res = g.integrate_exact(state, sched, couplings, step=step)
-            outs.append(res.state.amplitudes)
-        e1 = np.linalg.norm(outs[0] - outs[1])
-        e2 = np.linalg.norm(outs[1] - outs[2])
-        order = np.log2(e1 / e2)
-        assert order >= 3.5
-
-    def test_huge_step_raises(self, d4_pipeline):
+    def test_long_segments_stay_exact(self, d4_pipeline):
+        # a 101 pi pulse and a 0.1 s free interval: long segments need no
+        # step control and keep the propagator unitary
         couplings = d4_pipeline[4]
-        state = plus_state()
-        with pytest.raises(g.IntegrationStepError):
-            g.integrate_exact(state, one_pulse_schedule(), couplings, step=2e-7)
+        rabi = g.TWO_PI * 1e6
+        items = (one_pulse_schedule(theta=101 * np.pi, rabi=rabi).items
+                 + (g.FreeEvolution(0.1),))
+        sched = g.PulseSchedule(items, g.INTERACTION)
+        for H, t in segment_hamiltonians(sched, couplings, DriveModel()):
+            U = integrate_segment_unitary(H, t)
+            assert max_unitarity_defect(U) <= 1e-12
+            assert np.max(np.abs(U - expm(-1j * H * t))) <= 1e-12
+        res = g.integrate_exact(plus_state(), sched, couplings)
+        assert res.norm_drift <= 1e-12
 
 
 class TestCnotResidualIsingPhase:
@@ -73,7 +104,7 @@ class TestCnotResidualIsingPhase:
         couplings = d4_pipeline[4]
         sched = g.build_cnot(2, 3, couplings)
         state = g.SpinState.product([1, 1], [1, 1], [0, 1])
-        res = g.integrate_exact(state, sched, couplings, step=1e-9)
+        res = g.integrate_exact(state, sched, couplings)
         infidelity = 1.0 - res.fidelity_to_ideal
         assert 1e-6 < infidelity < 1e-4
         assert infidelity == pytest.approx(4.575e-5, rel=0.01)
@@ -84,8 +115,6 @@ class TestCnotResidualIsingPhase:
         state = plus_state()
         with pytest.raises(ValueError):
             g.integrate_exact(state, g.refocused_zz(couplings, g.LAB), couplings)
-        with pytest.raises(ValueError):
-            g.integrate_exact(state, one_pulse_schedule(), couplings, step=-1.0)
         lab_state = g.SpinState(state.amplitudes, g.LAB)
         with pytest.raises(ValueError):
             g.integrate_exact(lab_state, one_pulse_schedule(), couplings)

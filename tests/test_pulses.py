@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import gradion as g
@@ -344,6 +345,30 @@ class TestApplySchedule:
                              couplings)
 
 
+@st.composite
+def random_gate_schedules(draw):
+    """A CNOT or Hadamard schedule over random couplings, in either frame."""
+    couplings = random_couplings(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    frame = draw(st.sampled_from((g.LAB, g.INTERACTION)))
+    t_m = draw(st.floats(0.0, 1e-5))
+    rabi = g.TWO_PI * 1e6 * draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        control, target = draw(st.sampled_from(((1, 2), (2, 1), (2, 3), (3, 2))))
+        sched = g.build_cnot(control, target, couplings, t_m, frame, rabi=rabi)
+    else:
+        sched = g.hadamard_schedule(draw(st.integers(1, 3)), t_m=t_m, rabi=rabi,
+                                    frame=frame, couplings=couplings)
+    return sched, couplings
+
+
+def free_phase_bound(schedule, couplings):
+    """Upper bound on the summed |E t| of the schedule's free intervals."""
+    w = couplings.w if schedule.frame == g.LAB else np.zeros(3)
+    energy = 0.5 * np.sum(np.abs(w)) + couplings.J + 0.5 * couplings.J13
+    return energy * sum(item.duration for item in schedule.items
+                        if isinstance(item, g.FreeEvolution))
+
+
 class TestSerialization:
     def test_round_trip_unitary(self, d4_pipeline):
         couplings = d4_pipeline[4]
@@ -369,6 +394,32 @@ class TestSerialization:
     def test_parse_error_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             g.parse_schedule("FREE 1e-3\nPULSE nonsense\n")
+
+    def test_unknown_frame_rejected_at_parse(self):
+        with pytest.raises(ValueError, match="schedule line 1: unknown frame 'bogus'"):
+            g.parse_schedule("# frame=bogus\nFREE 1e-3\n")
+
+    @pytest.mark.parametrize("ion", [0, 4, 7, -1])
+    def test_bad_ion_rejected_at_parse(self, ion):
+        with pytest.raises(ValueError, match="schedule line 2: ion index"):
+            g.parse_schedule(f"FREE 1e-3\nPULSE {ion} 3.14 0 6.28e6 5e-7\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=random_gate_schedules())
+    def test_round_trip_property(self, drawn):
+        sched, couplings = drawn
+        text = g.serialize_schedule(sched)
+        parsed = g.parse_schedule(text)
+        assert parsed.frame == sched.frame
+        assert g.serialize_schedule(parsed) == text
+        # The file keeps 15 significant digits, so parsed durations may differ
+        # in their last bits, and float64 resolves each free phase E t only to
+        # eps |E t|: under 4e-13 in the interaction frame, up to ~4e-10 for
+        # lab-frame phases near 1e5 rad at w ~ 1e7 rad/s.
+        tolerance = 1e-12 + np.finfo(float).eps * free_phase_bound(sched, couplings)
+        deviation = np.max(np.abs(g.schedule_unitary(sched, couplings)
+                                  - g.schedule_unitary(parsed, couplings)))
+        assert deviation <= tolerance
 
     def test_concat_frame_mismatch(self, rng):
         couplings = random_couplings(rng)

@@ -247,7 +247,7 @@ class TestRunIntegrated:
         couplings = d4_couplings(d4_pipeline)
         a, b = haar_qubit(rng)
         rec = g.run_teleport(g.ProtocolConfig(a, b, gate_mode="integrated", seed=5,
-                                              couplings=couplings, step=2e-9))
+                                              couplings=couplings))
         # residual spin-spin phase during pulses costs ~1e-4 at most
         assert rec.fidelity > 1 - 5e-4
         assert rec.total_duration > 7e-3
@@ -257,7 +257,7 @@ class TestRunIntegrated:
         rate = 1.0 / 100e-3
         rec = g.run_teleport(
             g.ProtocolConfig(0.6, 0.8, gate_mode="integrated", seed=5,
-                             couplings=couplings, step=4e-9,
+                             couplings=couplings,
                              dephasing=(0.0, 0.0, rate)), force_outcome=(0, 1))
         assert rec.qubit3_density is not None
         assert np.trace(rec.qubit3_density) == pytest.approx(1.0, abs=1e-8)

@@ -167,6 +167,22 @@ class TestLayoutValidation:
         with pytest.raises(ValueError):
             g.TrapLayout.linear(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            g.TrapLayout.linear(bad)
+        with pytest.raises(ValueError, match="finite"):
+            g.TrapLayout.multi_trap(4e-6, bad, g.TWO_PI * 1e6)
+        with pytest.raises(ValueError, match="finite"):
+            g.TrapLayout.multi_trap(4e-6, g.TWO_PI * 1e6, bad)
+
+    def test_non_finite_center_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            g.TrapLayout("linear", np.array([np.nan, np.nan, np.nan]),
+                         np.full(3, g.TWO_PI * 1e6), None)
+        with pytest.raises(ValueError, match="finite"):
+            g.TrapLayout.multi_trap(np.inf, g.TWO_PI * 1e6, g.TWO_PI * 1e6)
+
     def test_frequency_for_spacing_inverts_spacing(self):
         w = g.linear_frequency_for_spacing(4e-6)
         assert g.linear_spacing(w) == pytest.approx(4e-6, rel=1e-12)

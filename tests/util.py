@@ -34,6 +34,11 @@ def spin_hamiltonian_oracle(w, J, J13):
             - 0.5 * J13 * z[0] @ z[2])
 
 
+def drive_hamiltonian_oracle(ion, phi, rabi):
+    """Co-rotating drive -(rabi/2)(e^{-i phi} sigma_+ + e^{i phi} sigma_-) on one ion."""
+    return -0.5 * rabi * embed3(np.exp(-1j * phi) * SP2 + np.exp(1j * phi) * SM2, ion)
+
+
 def free_oracle(w, J, J13, t):
     return expm(-1j * spin_hamiltonian_oracle(w, J, J13) * t)
 
