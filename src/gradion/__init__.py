@@ -11,13 +11,14 @@ from .trap import (ConvergenceError, EquilibriumSolution, NormalModes, TrapLayou
                    UnstableModesError, linear_frequency_for_spacing, linear_spacing,
                    normal_modes, potential_gradient, potential_hessian,
                    solve_equilibrium, total_potential)
-from .couplings import (CarrierSpectrum, CouplingSet, FieldConfig, SpinSpectrum,
-                        carrier_spectrum, compute_couplings, effective_lamb_dicke,
-                        heating_time_scaled, neighbor_resonance_shift,
-                        qubit_frequencies, spin_spectrum)
+from .couplings import (CarrierSpectrum, Chain, CouplingSet, FieldConfig,
+                        SpinSpectrum, carrier_spectrum, compute_couplings,
+                        effective_lamb_dicke, heating_time_scaled,
+                        neighbor_resonance_shift, qubit_frequencies, solve_chain,
+                        spin_spectrum)
 from .pulses import (CommensurationError, CommensurationResult, FreeEvolution,
-                     INTERACTION, LAB, Pulse, PulseSchedule, PulseSlot, SpinState,
-                     apply_schedule, build_cnot, commensurate_pulse,
+                     INTERACTION, LAB, Pulse, PulseContext, PulseSchedule, PulseSlot,
+                     SpinState, apply_schedule, build_cnot, commensurate_pulse,
                      composite_z_rotation, free_evolution, hadamard_schedule,
                      parse_schedule, refocused_zz, schedule_unitary,
                      serialize_schedule, single_qubit_rotation)
@@ -27,6 +28,6 @@ from .search import (CandidateEvaluation, CandidateParams, SearchResult, SearchS
 from .teleport import (ProtocolConfig, TeleportRecord, bob_correct, encode_and_rotate,
                        entangle_23, fidelity, measure_ions12, prepare_initial,
                        run_teleport)
-from .presets import PRESETS, REFERENCE, preset_layout_field
+from .presets import PRESETS, REFERENCE, layout_field, preset_layout_field
 
 __version__ = "0.1.0"

@@ -13,8 +13,11 @@ One subcommand per invocation:
 
 Physical parameters come from a preset (``--preset table1-d4``), a config
 file (``key = value`` lines, ``#`` comments), and command flags, in that
-order of increasing precedence. Exit codes: 0 success, 1 computation
-failure, 2 usage error.
+order of increasing precedence. `presets.layout_field` turns the merged
+settings into a layout and field, and `couplings.solve_chain` solves them.
+Exit codes: 0 success; 2 when argparse rejects the command line; 1 for any
+rejected value (unknown preset, bad config value, unnormalized amplitudes,
+non-positive Rabi frequency, ...) or failed computation.
 """
 
 from __future__ import annotations
@@ -29,15 +32,13 @@ from dataclasses import replace
 import numpy as np
 
 from .constants import TWO_PI, DEFAULT_CONSTANTS, PhysicalConstants
-from .couplings import (FieldConfig, carrier_spectrum, compute_couplings,
-                        neighbor_resonance_shift)
+from .couplings import Chain, carrier_spectrum, neighbor_resonance_shift, solve_chain
 from .operators import cnot_matrix, deviation_up_to_phase
-from .presets import PRESETS
-from .pulses import (FreeEvolution, INTERACTION, LAB, build_cnot,
+from .presets import PRESETS, layout_field
+from .pulses import (FreeEvolution, INTERACTION, LAB, PulseContext, build_cnot,
                      schedule_unitary, serialize_schedule)
 from .search import SearchSpace, maximize_J_linear, maximize_J_multitrap
 from .teleport import ProtocolConfig, run_teleport
-from .trap import TrapLayout, linear_frequency_for_spacing, normal_modes, solve_equilibrium
 from . import verify as verify_mod
 
 CONFIG_KEYS = {
@@ -85,12 +86,15 @@ def load_config(path: str) -> dict:
     return settings
 
 
-def _merge_settings(args) -> dict:
+def _merge_settings(args, default_preset: str | None = None) -> dict:
+    """Preset, then config file, then flags; ``default_preset`` fills a missing layout."""
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(load_config(args.config))
     if getattr(args, "preset", None):
         settings["preset"] = args.preset
+    if default_preset and "preset" not in settings and "mode" not in settings:
+        settings["preset"] = default_preset
     if "preset" in settings:
         name = settings["preset"]
         if name not in PRESETS:
@@ -114,43 +118,14 @@ def _constants(settings: dict) -> PhysicalConstants:
     return constants
 
 
-def _layout_field(settings: dict, constants: PhysicalConstants):
-    mode = settings.get("mode")
-    if mode is None:
-        raise ValueError("no layout given; pass --preset, or mode/... in a config")
-    gradient = settings.get("gradient_t_per_m")
-    if gradient is None:
-        raise ValueError("no field gradient given (gradient_t_per_m)")
-    field = FieldConfig(gradient=gradient, b0=settings.get("b0_t", 1.0),
-                        eta=settings.get("eta", 1e-6))
-    if mode == "multi":
-        for key in ("d_um", "w1_2pi_mhz", "w2_2pi_mhz"):
-            if key not in settings:
-                raise ValueError(f"multi-trap layout needs {key}")
-        layout = TrapLayout.multi_trap(settings["d_um"] * 1e-6,
-                                       TWO_PI * settings["w1_2pi_mhz"] * 1e6,
-                                       TWO_PI * settings["w2_2pi_mhz"] * 1e6,
-                                       constants)
-    elif mode == "linear":
-        if "w_2pi_mhz" in settings:
-            w = TWO_PI * settings["w_2pi_mhz"] * 1e6
-        elif "h_um" in settings:
-            w = linear_frequency_for_spacing(settings["h_um"] * 1e-6, constants)
-        else:
-            raise ValueError("linear layout needs w_2pi_mhz or h_um")
-        layout = TrapLayout.linear(w, constants)
-    else:
-        raise ValueError(f"unknown layout mode {mode!r}")
-    return layout, field
+def _chain(settings: dict) -> Chain:
+    return solve_chain(*layout_field(settings, _constants(settings)))
 
 
-def _pipeline(settings: dict):
-    constants = _constants(settings)
-    layout, field = _layout_field(settings, constants)
-    eq = solve_equilibrium(layout)
-    modes = normal_modes(layout, eq)
-    couplings = compute_couplings(modes, field, eq, constants)
-    return constants, layout, field, eq, modes, couplings
+def _pulse_timing(settings: dict) -> dict:
+    """Slot time t_m and nominal Rabi frequency, in s and rad/s."""
+    return {"t_m": settings.get("t_m_us", 2.5) * 1e-6,
+            "rabi": TWO_PI * settings.get("rabi_2pi_mhz", 1.0) * 1e6}
 
 
 def _plain(value):
@@ -204,6 +179,10 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
 
         walk("", payload)
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -211,7 +190,9 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _couplings_payload(settings, layout, field, eq, modes, couplings) -> dict:
+def _couplings_payload(settings: dict, chain: Chain) -> dict:
+    layout, field, eq, modes, couplings = (chain.layout, chain.field, chain.equilibrium,
+                                           chain.modes, chain.couplings)
     payload = {
         "preset": settings.get("preset"),
         "mode": layout.mode,
@@ -253,11 +234,12 @@ def _couplings_csv(payload: dict) -> list[dict]:
 
 def cmd_modes(args) -> int:
     settings = _merge_settings(args)
-    _, layout, field, eq, modes, _ = _pipeline(settings)
+    chain = _chain(settings)
+    modes = chain.modes
     payload = {
         "preset": settings.get("preset"),
-        "mode": layout.mode,
-        "positions_um": [z * 1e6 for z in eq.positions],
+        "mode": chain.layout.mode,
+        "positions_um": [z * 1e6 for z in chain.equilibrium.positions],
         "nu_2pi_mhz": [nu / (TWO_PI * 1e6) for nu in modes.nu],
         "mode_matrix": [[float(x) for x in row] for row in modes.D],
         "raw_rad_s": {"nu": list(modes.nu)},
@@ -268,15 +250,15 @@ def cmd_modes(args) -> int:
 
 def cmd_couplings(args) -> int:
     settings = _merge_settings(args)
-    _, layout, field, eq, modes, couplings = _pipeline(settings)
-    payload = _couplings_payload(settings, layout, field, eq, modes, couplings)
+    payload = _couplings_payload(settings, _chain(settings))
     _emit(args, payload, _couplings_csv(payload))
     return 0
 
 
 def cmd_spectrum(args) -> int:
     settings = _merge_settings(args)
-    constants, layout, field, eq, modes, couplings = _pipeline(settings)
+    chain = _chain(settings)
+    couplings = chain.couplings
     spec = carrier_spectrum(couplings)
     rows = []
     for ion in range(3):
@@ -292,8 +274,8 @@ def cmd_spectrum(args) -> int:
             })
     payload = {
         "preset": settings.get("preset"),
-        "neighbor_shift_2pi_mhz": neighbor_resonance_shift(field, eq.h, constants)
-        / (TWO_PI * 1e6),
+        "neighbor_shift_2pi_mhz": neighbor_resonance_shift(
+            chain.field, chain.equilibrium.h, chain.layout.constants) / (TWO_PI * 1e6),
         "spreads_2pi_khz": [s / (TWO_PI * 1e3) for s in spec.spreads],
         "transitions": rows,
     }
@@ -355,16 +337,13 @@ def cmd_table3(args) -> int:
 
 
 def cmd_cnot(args) -> int:
-    settings = _merge_settings(args)
-    if "preset" not in settings and "mode" not in settings:
-        settings = {**PRESETS["table1-d4"], "preset": "table1-d4", **settings}
-    _, layout, field, eq, modes, couplings = _pipeline(settings)
+    settings = _merge_settings(args, default_preset="table1-d4")
+    couplings = _chain(settings).couplings
     control, target = (int(x) for x in args.pair.split(","))
     frame = LAB if args.frame == "lab" else INTERACTION
-    t_m = settings.get("t_m_us", 2.5) * 1e-6
-    rabi = TWO_PI * settings.get("rabi_2pi_mhz", 1.0) * 1e6
-    schedule = build_cnot(control, target, couplings, t_m=t_m, frame=frame,
-                          rabi=rabi, commensurate=(frame == LAB))
+    ctx = PulseContext(couplings, frame, commensurate=(frame == LAB),
+                       **_pulse_timing(settings))
+    schedule = build_cnot(control, target, ctx)
     deviation = deviation_up_to_phase(schedule_unitary(schedule, couplings),
                                       cnot_matrix(control, target))
     t_zz = sum(item.duration for item in schedule.items
@@ -390,26 +369,14 @@ def cmd_cnot(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    settings = _merge_settings(args)
-    couplings = None
-    if args.mode != "ideal":
-        if "preset" not in settings and "mode" not in settings:
-            settings = {**PRESETS["table1-d4"], "preset": "table1-d4", **settings}
-        couplings = _pipeline(settings)[5]
+    settings = _merge_settings(args, default_preset="table1-d4")
+    couplings = _chain(settings).couplings if args.mode != "ideal" else None
     rates = (args.dephasing_rate_hz,) * 3 if args.dephasing_rate_hz else (0.0,) * 3
     config = ProtocolConfig(
         alpha=complex(args.alpha), beta=complex(args.beta), gate_mode=args.mode,
         seed=args.seed if args.seed is not None else settings.get("seed"),
-        couplings=couplings, dephasing=rates,
-        t_m=settings.get("t_m_us", 2.5) * 1e-6,
-        rabi=TWO_PI * settings.get("rabi_2pi_mhz", 1.0) * 1e6)
-    record = run_teleport(config)
-    text = record.to_json() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        couplings=couplings, dephasing=rates, **_pulse_timing(settings))
+    _write(args, run_teleport(config).to_json() + "\n")
     return 0
 
 

@@ -14,6 +14,8 @@ and the gradient couples the spins through the shared vibrational modes:
 eps_il plays the role of an extra Lamb-Dicke parameter; the model is valid
 while max |eps_il| stays well below 1 (0.05 is used as the design ceiling).
 
+`solve_chain` runs layout -> equilibrium -> modes -> couplings as one `Chain`.
+
 Pauli convention used everywhere: sigma_z |1> = +|1>, sigma_z |0> = -|0>.
 This is forced by the eight-level spectrum listed in `spin_spectrum` and it
 silently flips downstream correction operators if changed.
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
-from .trap import EquilibriumSolution, NormalModes
+from .trap import (EquilibriumSolution, NormalModes, TrapLayout, normal_modes,
+                   solve_equilibrium)
 
 #: basis index of |b1 b2 b3> is 4*b1 + 2*b2 + b3
 BASIS_SIZE = 8
@@ -160,6 +163,26 @@ def compute_couplings(modes: NormalModes, field: FieldConfig, eq: EquilibriumSol
     eps, eps_max, eta_prime = effective_lamb_dicke(modes, field, constants)
     return CouplingSet(w=w, dwdz=dwdz, J=float(j12), J13=float(j13),
                        eps=eps, eps_max=eps_max, eta=field.eta, eta_prime=eta_prime)
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A trap layout in a field, solved: equilibrium, normal modes, couplings."""
+
+    layout: TrapLayout
+    field: FieldConfig
+    equilibrium: EquilibriumSolution
+    modes: NormalModes
+    couplings: CouplingSet
+
+
+def solve_chain(layout: TrapLayout, field: FieldConfig) -> Chain:
+    """Equilibrium, modes and couplings of ``layout`` in ``field``, all with
+    ``layout.constants``; solver errors propagate."""
+    eq = solve_equilibrium(layout)
+    modes = normal_modes(layout, eq)
+    return Chain(layout, field, eq, modes,
+                 compute_couplings(modes, field, eq, layout.constants))
 
 
 def _signs(index: int) -> np.ndarray:

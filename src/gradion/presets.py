@@ -5,13 +5,14 @@ carrying the trap frequencies and gradient with the largest J found for
 that spacing. ``table3-h{2..6}``: linear-trap rows keyed by ion spacing h
 in um. ``REFERENCE`` holds the reference row values each preset reproduces
 (frequencies in 2pi-units); the verification suite checks them.
+`layout_field` builds the trap layout and field of any such settings dict.
 """
 
 from __future__ import annotations
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
 from .couplings import FieldConfig
-from .trap import TrapLayout
+from .trap import TrapLayout, linear_frequency_for_spacing
 
 #: preset name -> plain parameter dict (um, 2pi MHz, T/m)
 PRESETS: dict[str, dict] = {
@@ -46,21 +47,46 @@ REFERENCE: dict[str, dict] = {
 }
 
 
+def layout_field(settings: dict,
+                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                 ) -> tuple[TrapLayout, FieldConfig]:
+    """Trap layout and field from plain settings: a preset row, or a config
+    merged over one. "linear" derives W from h_um when w_2pi_mhz is absent."""
+    mode = settings.get("mode")
+    if mode is None:
+        raise ValueError("no layout given; pass --preset, or mode/... in a config")
+    gradient = settings.get("gradient_t_per_m")
+    if gradient is None:
+        raise ValueError("no field gradient given (gradient_t_per_m)")
+    field = FieldConfig(gradient=gradient, b0=settings.get("b0_t", 1.0),
+                        eta=settings.get("eta", 1e-6))
+    if mode == "multi":
+        for key in ("d_um", "w1_2pi_mhz", "w2_2pi_mhz"):
+            if key not in settings:
+                raise ValueError(f"multi-trap layout needs {key}")
+        layout = TrapLayout.multi_trap(settings["d_um"] * 1e-6,
+                                       TWO_PI * settings["w1_2pi_mhz"] * 1e6,
+                                       TWO_PI * settings["w2_2pi_mhz"] * 1e6,
+                                       constants)
+    elif mode == "linear":
+        if "w_2pi_mhz" in settings:
+            w = TWO_PI * settings["w_2pi_mhz"] * 1e6
+        elif "h_um" in settings:
+            w = linear_frequency_for_spacing(settings["h_um"] * 1e-6, constants)
+        else:
+            raise ValueError("linear layout needs w_2pi_mhz or h_um")
+        layout = TrapLayout.linear(w, constants)
+    else:
+        raise ValueError(f"unknown layout mode {mode!r}")
+    return layout, field
+
+
 def preset_layout_field(name: str,
                         constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                        b0: float = 1.0, eta: float = 1e-6,
                         ) -> tuple[TrapLayout, FieldConfig]:
     """Materialize a preset into a trap layout and field configuration."""
     try:
         row = PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    field = FieldConfig(gradient=row["gradient_t_per_m"], b0=b0, eta=eta)
-    if row["mode"] == "multi":
-        layout = TrapLayout.multi_trap(row["d_um"] * 1e-6,
-                                       TWO_PI * row["w1_2pi_mhz"] * 1e6,
-                                       TWO_PI * row["w2_2pi_mhz"] * 1e6,
-                                       constants)
-    else:
-        layout = TrapLayout.linear(TWO_PI * row["w_2pi_mhz"] * 1e6, constants)
-    return layout, field
+    return layout_field(row, constants)

@@ -8,11 +8,13 @@ of a single addressed ion in the interaction picture,
 plus free evolution under the always-on spin Hamiltonian. A schedule is an
 ordered list of segments: pulse slots (one or more simultaneous rotations
 on distinct ions, booked at the fixed implementation time t_m) and free
-intervals. Segment unitaries are ideal: rotations act instantaneously and
-spin-spin phases accrue only during free intervals; `integrate.integrate_exact`
-propagates the full constant Hamiltonian of every segment exactly, spin-spin
-terms included during pulses, and so quantifies what that idealization
-discards.
+intervals. One `PulseContext` -- frame, slot time t_m, Rabi frequency,
+and optional lab-frame commensuration -- fixes how every builder realizes a
+rotation as a pulse. Segment unitaries are ideal: rotations act
+instantaneously and spin-spin phases accrue only during free intervals;
+`integrate.integrate_exact` propagates the full constant Hamiltonian of
+every segment exactly, spin-spin terms included during pulses, and so
+quantifies what that idealization discards.
 
 Sign conventions (sigma_z |1> = +|1>) make two identities hold exactly:
 
@@ -26,6 +28,7 @@ Sign conventions (sigma_z |1> = +|1>) make two identities hold exactly:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -233,30 +236,50 @@ def commensurate_pulse(w, theta: float, rabi_nominal: float,
 
 # -- schedule builders ------------------------------------------------------
 
-def _make_pulse(ion, theta, phi, rabi, frame, couplings, tolerance,
-                commensurate) -> Pulse:
-    if commensurate:
-        if frame != LAB:
-            raise ValueError("pulse-length commensuration applies to lab-frame "
-                             "schedules only")
-        if couplings is None:
-            raise ValueError("commensuration needs the coupling set's qubit "
-                             "frequencies")
-        fit = commensurate_pulse(couplings.w, theta, rabi, tolerance=tolerance)
-        return Pulse(ion, theta, phi, fit.rabi, fit.duration,
-                     cycles=fit.cycles, residuals=tuple(fit.residuals[:3]))
-    return Pulse(ion, theta, phi, rabi, theta / rabi)
+@dataclass(frozen=True)
+class PulseContext:
+    """How every builder turns a rotation into a pulse of length theta / rabi.
+
+    Each slot is booked at ``t_m``. ``commensurate`` nudges lab-frame pulse
+    lengths onto whole qubit periods of ``couplings`` (`commensurate_pulse`);
+    the refocusing schedules take J from ``couplings`` too.
+    """
+
+    couplings: CouplingSet | None = None
+    frame: str = INTERACTION
+    t_m: float = T_M_DEFAULT
+    rabi: float = RABI_DEFAULT
+    commensurate: bool = False
+
+    def __post_init__(self) -> None:
+        if self.frame not in FRAMES:
+            raise ValueError(f"unknown frame {self.frame!r}; choose from {FRAMES}")
+        if not (math.isfinite(self.rabi) and self.rabi > 0.0):
+            raise ValueError(f"Rabi frequency must be finite and positive: {self.rabi!r}")
+        if not (math.isfinite(self.t_m) and self.t_m >= 0.0):
+            raise ValueError(f"slot time t_m must be finite and non-negative: "
+                             f"{self.t_m!r}")
+        if self.commensurate and (self.frame != LAB or self.couplings is None):
+            raise ValueError("pulse-length commensuration needs the lab frame and "
+                             "the coupling set's qubit frequencies")
+
+    def _pulse(self, ion: int, theta: float, phi: float) -> Pulse:
+        if self.commensurate:
+            fit = commensurate_pulse(self.couplings.w, theta, self.rabi)
+            return Pulse(ion, theta, phi, fit.rabi, fit.duration,
+                         cycles=fit.cycles, residuals=tuple(fit.residuals[:3]))
+        return Pulse(ion, theta, phi, self.rabi, theta / self.rabi)
+
+    def slot(self, label: str, *rotations: tuple[int, float, float]) -> PulseSlot:
+        """One t_m slot of simultaneous (ion, theta, phi) rotations."""
+        return PulseSlot(tuple(self._pulse(*r) for r in rotations), self.t_m, label)
+
+    def schedule(self, *items) -> PulseSchedule:
+        return PulseSchedule(items, self.frame)
 
 
-def _slot(pulses, t_m, label) -> PulseSlot:
-    return PulseSlot(tuple(pulses), t_m, label)
-
-
-def composite_z_rotation(ion: int, sense: int = +1, *,
-                         t_m: float = T_M_DEFAULT, rabi: float = RABI_DEFAULT,
-                         frame: str = INTERACTION, couplings: CouplingSet | None = None,
-                         tolerance: float = 1e-3, commensurate: bool = False,
-                         ) -> PulseSchedule:
+def composite_z_rotation(ion: int, sense: int = +1,
+                         ctx: PulseContext = PulseContext()) -> PulseSchedule:
     """Three-pulse composite equal to exp(+i pi/4 sigma_z) (sense=+1) or its inverse.
 
     Applied order: U(7 pi/2, s pi/2), U(pi/2, 0), U(pi/2, s pi/2) with
@@ -265,20 +288,12 @@ def composite_z_rotation(ion: int, sense: int = +1, *,
     if sense not in (+1, -1):
         raise ValueError("sense must be +1 or -1")
     tag = f"z{'+' if sense > 0 else '-'}45 ion{ion}"
-    mk = lambda th, ph: _make_pulse(ion, th, ph, rabi, frame, couplings, tolerance,
-                                    commensurate)
-    items = (
-        _slot([mk(3.5 * np.pi, sense * np.pi / 2)], t_m, tag),
-        _slot([mk(0.5 * np.pi, 0.0)], t_m, tag),
-        _slot([mk(0.5 * np.pi, sense * np.pi / 2)], t_m, tag),
-    )
-    return PulseSchedule(items, frame)
+    return ctx.schedule(ctx.slot(tag, (ion, 3.5 * np.pi, sense * np.pi / 2)),
+                        ctx.slot(tag, (ion, 0.5 * np.pi, 0.0)),
+                        ctx.slot(tag, (ion, 0.5 * np.pi, sense * np.pi / 2)))
 
 
-def refocused_zz(couplings: CouplingSet, frame: str = INTERACTION,
-                 pair: tuple[int, int] = (2, 3), *,
-                 t_m: float = T_M_DEFAULT, rabi: float = RABI_DEFAULT,
-                 tolerance: float = 1e-3, commensurate: bool = False) -> PulseSchedule:
+def refocused_zz(ctx: PulseContext, pair: tuple[int, int] = (2, 3)) -> PulseSchedule:
     """Schedule for exp(-i pi/4 sigma_z_i sigma_z_j) on an adjacent pair.
 
     Four free quarters of t = 7 pi / (2 J), interleaved with pi pulses: the
@@ -291,30 +306,18 @@ def refocused_zz(couplings: CouplingSet, frame: str = INTERACTION,
     i, j = pair
     if {i, j} not in ({1, 2}, {2, 3}):
         raise ValueError("refocused pair must be adjacent ions (1,2) or (2,3)")
-    if couplings.J <= 0.0:
-        raise ValueError("refocusing requires a positive nearest-neighbor coupling")
+    if ctx.couplings is None or ctx.couplings.J <= 0.0:
+        raise ValueError("refocusing needs a coupling set with a positive "
+                         "nearest-neighbor coupling J")
     spectator = ({1, 2, 3} - {i, j}).pop()
-    t = 7.0 * np.pi / (2.0 * couplings.J)
-    mk = lambda ion: _make_pulse(ion, np.pi, 0.0, rabi, frame, couplings, tolerance,
-                                 commensurate)
-    quarter = FreeEvolution(t / 4.0, "zz quarter")
-    items = (
-        quarter,
-        _slot([mk(spectator)], t_m, f"pi ion{spectator}"),
-        quarter,
-        _slot([mk(i), mk(j)], t_m, f"pi ion{i}+ion{j}"),
-        quarter,
-        _slot([mk(spectator)], t_m, f"pi ion{spectator}"),
-        quarter,
-        _slot([mk(i), mk(j)], t_m, f"pi ion{i}+ion{j}"),
-    )
-    return PulseSchedule(items, frame)
+    quarter = FreeEvolution(7.0 * np.pi / (2.0 * ctx.couplings.J) / 4.0, "zz quarter")
+    flip_spectator = ctx.slot(f"pi ion{spectator}", (spectator, np.pi, 0.0))
+    flip_pair = ctx.slot(f"pi ion{i}+ion{j}", (i, np.pi, 0.0), (j, np.pi, 0.0))
+    return ctx.schedule(quarter, flip_spectator, quarter, flip_pair,
+                        quarter, flip_spectator, quarter, flip_pair)
 
 
-def build_cnot(control: int, target: int, couplings: CouplingSet,
-               t_m: float = T_M_DEFAULT, frame: str = INTERACTION, *,
-               rabi: float = RABI_DEFAULT, tolerance: float = 1e-3,
-               commensurate: bool = False) -> PulseSchedule:
+def build_cnot(control: int, target: int, ctx: PulseContext) -> PulseSchedule:
     """Six-factor CNOT schedule on an adjacent (control, target) pair.
 
     Composition, in application order:
@@ -328,41 +331,24 @@ def build_cnot(control: int, target: int, couplings: CouplingSet,
     """
     if {control, target} not in ({1, 2}, {2, 3}):
         raise ValueError("CNOT needs an adjacent pair coupled by J")
-    if couplings.J <= 0.0:
-        raise ValueError("CNOT requires a positive nearest-neighbor coupling")
-    mk = lambda th, ph: _make_pulse(target, th, ph, rabi, frame, couplings, tolerance,
-                                    commensurate)
-    opening = PulseSchedule(
-        (_slot([mk(0.5 * np.pi, 0.5 * np.pi)], t_m, f"y+90 ion{target}"),), frame)
-    closing = PulseSchedule(
-        (_slot([mk(3.5 * np.pi, 0.5 * np.pi)], t_m, f"y-90 ion{target}"),), frame)
-    zz = refocused_zz(couplings, frame, (min(control, target), max(control, target)),
-                      t_m=t_m, rabi=rabi, tolerance=tolerance, commensurate=commensurate)
-    z_target = composite_z_rotation(target, -1, t_m=t_m, rabi=rabi, frame=frame,
-                                    couplings=couplings, tolerance=tolerance,
-                                    commensurate=commensurate)
-    z_control = composite_z_rotation(control, +1, t_m=t_m, rabi=rabi, frame=frame,
-                                     couplings=couplings, tolerance=tolerance,
-                                     commensurate=commensurate)
-    return opening + zz + z_target + z_control + closing
+    zz = refocused_zz(ctx, (min(control, target), max(control, target)))
+    opening = ctx.schedule(
+        ctx.slot(f"y+90 ion{target}", (target, 0.5 * np.pi, 0.5 * np.pi)))
+    closing = ctx.schedule(
+        ctx.slot(f"y-90 ion{target}", (target, 3.5 * np.pi, 0.5 * np.pi)))
+    return (opening + zz + composite_z_rotation(target, -1, ctx)
+            + composite_z_rotation(control, +1, ctx) + closing)
 
 
-def hadamard_schedule(ion: int, *, t_m: float = T_M_DEFAULT, rabi: float = RABI_DEFAULT,
-                      frame: str = INTERACTION, couplings: CouplingSet | None = None,
-                      tolerance: float = 1e-3, commensurate: bool = False,
-                      ) -> PulseSchedule:
+def hadamard_schedule(ion: int, ctx: PulseContext = PulseContext()) -> PulseSchedule:
     """Hadamard from the pulse alphabet: two +45 z composites, then U(pi/2, pi/2).
 
     Equals the |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2 map up to a
     global phase of -i.
     """
-    half = composite_z_rotation(ion, +1, t_m=t_m, rabi=rabi, frame=frame,
-                                couplings=couplings, tolerance=tolerance,
-                                commensurate=commensurate)
-    mk = lambda th, ph: _make_pulse(ion, th, ph, rabi, frame, couplings, tolerance,
-                                    commensurate)
-    y = PulseSchedule((_slot([mk(0.5 * np.pi, 0.5 * np.pi)], t_m, f"y+90 ion{ion}"),), frame)
-    return half + half + y
+    half = composite_z_rotation(ion, +1, ctx)
+    return half + half + ctx.schedule(
+        ctx.slot(f"y+90 ion{ion}", (ion, 0.5 * np.pi, 0.5 * np.pi)))
 
 
 # -- applying schedules -----------------------------------------------------
@@ -405,19 +391,19 @@ def apply_schedule(state: SpinState, schedule: PulseSchedule,
 def serialize_schedule(schedule: PulseSchedule) -> str:
     """Line format: ``PULSE ion theta phi rabi T`` or ``FREE T``.
 
-    Durations carry 15 significant digits. Simultaneous pulses of one slot
-    appear on consecutive lines; the flat file keeps per-pulse lengths, not
-    slot bookkeeping.
+    Numbers are float reprs, which parse back exactly. Simultaneous pulses
+    of one slot appear on consecutive lines; the flat file keeps per-pulse
+    lengths, not slot bookkeeping.
     """
     lines = [f"# frame={schedule.frame}"]
     for item in schedule.items:
         if isinstance(item, FreeEvolution):
-            lines.append(f"FREE {item.duration:.15g}")
+            lines.append(f"FREE {float(item.duration)!r}")
         else:
             for p in item.pulses:
-                lines.append(
-                    f"PULSE {p.ion} {p.theta:.15g} {p.phi:.15g} {p.rabi:.15g} "
-                    f"{p.duration:.15g}")
+                numbers = " ".join(repr(float(x))
+                                   for x in (p.theta, p.phi, p.rabi, p.duration))
+                lines.append(f"PULSE {p.ion} {numbers}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,8 +5,8 @@ subject to a stable equilibrium and a ceiling on the effective Lamb-Dicke
 parameter (default 0.05). J grows monotonically with the gradient at fixed
 trap frequencies, so each constrained optimum sits at the largest feasible
 gradient; the grids are still swept exhaustively, with the equilibrium and
-mode analysis cached per trap-frequency pair (they do not depend on the
-gradient).
+mode analysis solved once per trap-frequency pair (they do not depend on the
+gradient). Both searches sweep the gradient axis through `_sweep_gradient`.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
-from .couplings import CouplingSet, FieldConfig, compute_couplings
+from .couplings import CouplingSet, FieldConfig, compute_couplings, solve_chain
 from .trap import (ConvergenceError, EquilibriumSolution, NormalModes, TrapLayout,
-                   UnstableModesError, linear_frequency_for_spacing, normal_modes,
-                   solve_equilibrium)
+                   UnstableModesError, linear_frequency_for_spacing)
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,12 @@ def evaluate_candidate(params: CandidateParams,
     instead of raising.
     """
     field = FieldConfig(gradient=params.gradient, b0=b0, eta=eta)
-    layout = _layout(params, constants)
     try:
-        eq = solve_equilibrium(layout)
-        modes = normal_modes(layout, eq)
+        chain = solve_chain(_layout(params, constants), field)
     except (ConvergenceError, UnstableModesError) as exc:
         return CandidateEvaluation(params, False, reason=str(exc))
-    couplings = compute_couplings(modes, field, eq, constants)
-    return CandidateEvaluation(params, True, equilibrium=eq, modes=modes,
-                               couplings=couplings)
+    return CandidateEvaluation(params, True, equilibrium=chain.equilibrium,
+                               modes=chain.modes, couplings=chain.couplings)
 
 
 def _grid(grid: tuple[float, float, int]) -> np.ndarray:
@@ -142,6 +138,39 @@ def _result_from(best_eval: CandidateEvaluation | None, evaluations: int,
                         evaluations, True, trace)
 
 
+def _sweep_gradient(base: CandidateEvaluation, grid: tuple[float, float, int],
+                    space: SearchSpace, constants: PhysicalConstants, best,
+                    trace: list | None):
+    """Evaluate every gradient of ``grid`` on the solved chain of ``base``.
+
+    ``best`` is None or ((J, eps_max, gradient), evaluation); the updated
+    best is returned. An infeasible base yields one rejection entry per grid
+    point. ``trace`` entries are (params, J, eps_max, feasible).
+    """
+    if not base.feasible:
+        if trace is not None:
+            trace.extend([(base.params, np.nan, np.nan, False)] * grid[2])
+        return best
+    for grad in _grid(grid):
+        grad = float(grad)
+        field = FieldConfig(gradient=grad, b0=space.b0, eta=space.eta)
+        couplings = compute_couplings(base.modes, field, base.equilibrium, constants)
+        feasible = couplings.eps_max < space.eps_ceiling
+        better = feasible and _better(couplings.J, couplings.eps_max, grad,
+                                      best and best[0])
+        if trace is None and not better:
+            continue
+        # params only for kept entries: a table1 sweep makes 15,360 evaluations
+        params = replace(base.params, gradient=grad)
+        if trace is not None:
+            trace.append((params, couplings.J, couplings.eps_max, feasible))
+        if better:
+            best = ((couplings.J, couplings.eps_max, grad),
+                    CandidateEvaluation(params, True, equilibrium=base.equilibrium,
+                                        modes=base.modes, couplings=couplings))
+    return best
+
+
 def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
                          constants: PhysicalConstants = DEFAULT_CONSTANTS,
                          collect_trace: bool = False) -> SearchResult:
@@ -155,7 +184,7 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
         raise ValueError("trap spacing d must be positive")
     space = space or SearchSpace()
     evaluations = 0
-    trace: list = []
+    trace: list | None = [] if collect_trace else None
     best = None  # ((J, eps, gradient), evaluation)
 
     stage_space = space
@@ -166,28 +195,9 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
                     CandidateParams("multi", float(stage_space.gradient[0]),
                                     d=d, w1=float(w1), w2=float(w2)),
                     constants, b0=space.b0, eta=space.eta)
-                for grad in _grid(stage_space.gradient):
-                    evaluations += 1
-                    if not base.feasible:
-                        if collect_trace:
-                            trace.append((base.params, np.nan, np.nan, False))
-                        continue
-                    params = CandidateParams("multi", float(grad), d=d,
-                                             w1=float(w1), w2=float(w2))
-                    field = FieldConfig(gradient=float(grad), b0=space.b0,
-                                        eta=space.eta)
-                    couplings = compute_couplings(base.modes, field,
-                                                  base.equilibrium, constants)
-                    feasible = couplings.eps_max < space.eps_ceiling
-                    if collect_trace:
-                        trace.append((params, couplings.J, couplings.eps_max, feasible))
-                    if feasible and _better(couplings.J, couplings.eps_max,
-                                            grad, best and best[0]):
-                        best = ((couplings.J, couplings.eps_max, float(grad)),
-                                CandidateEvaluation(params, True,
-                                                    equilibrium=base.equilibrium,
-                                                    modes=base.modes,
-                                                    couplings=couplings))
+                best = _sweep_gradient(base, stage_space.gradient, space, constants,
+                                       best, trace)
+                evaluations += stage_space.gradient[2]
         if best is None:
             break
         p = best[1].params
@@ -195,7 +205,7 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
                               w1=_refined(space.w1, p.w1),
                               w2=_refined(space.w2, p.w2),
                               gradient=_refined(space.gradient, p.gradient))
-    return _result_from(best[1] if best else None, evaluations, tuple(trace))
+    return _result_from(best[1] if best else None, evaluations, tuple(trace or ()))
 
 
 def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
@@ -211,31 +221,16 @@ def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
     space = space or SearchSpace()
     w = linear_frequency_for_spacing(h_target, constants)
     evaluations = 0
-    trace: list = []
+    trace: list | None = [] if collect_trace else None
     best = None
 
     base = evaluate_candidate(CandidateParams("linear", float(space.gradient[0]), w=w),
                               constants, b0=space.b0, eta=space.eta)
     grid = space.gradient
     for _stage in range(2):
-        for grad in _grid(grid):
-            evaluations += 1
-            if not base.feasible:
-                continue
-            params = CandidateParams("linear", float(grad), w=w)
-            field = FieldConfig(gradient=float(grad), b0=space.b0, eta=space.eta)
-            couplings = compute_couplings(base.modes, field, base.equilibrium,
-                                          constants)
-            feasible = couplings.eps_max < space.eps_ceiling
-            if collect_trace:
-                trace.append((params, couplings.J, couplings.eps_max, feasible))
-            if feasible and _better(couplings.J, couplings.eps_max, grad,
-                                    best and best[0]):
-                best = ((couplings.J, couplings.eps_max, float(grad)),
-                        CandidateEvaluation(params, True,
-                                            equilibrium=base.equilibrium,
-                                            modes=base.modes, couplings=couplings))
+        best = _sweep_gradient(base, grid, space, constants, best, trace)
+        evaluations += grid[2]
         if best is None:
             break
         grid = _refined(space.gradient, best[1].params.gradient)
-    return _result_from(best[1] if best else None, evaluations, tuple(trace))
+    return _result_from(best[1] if best else None, evaluations, tuple(trace or ()))

@@ -11,7 +11,8 @@ probability 1/4 and leave ion 3 one Pauli away from the input:
 Gate modes: "ideal" applies exact gate matrices (zero duration);
 "scheduled" composes the microwave pulse schedules segment by segment;
 "integrated" replaces each segment unitary with the exact propagator of its
-constant Hamiltonian, spin-spin terms kept active during pulses.
+constant Hamiltonian, spin-spin terms kept active during pulses. Both build
+their stage schedules from the config's derived `PulseContext`.
 Optional per-qubit dephasing (phase damping applied after every schedule
 segment, scaled by the segment's wall-clock duration) switches the run to
 density-matrix propagation; it requires a mode with durations, so "ideal"
@@ -21,7 +22,7 @@ rejects nonzero rates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .couplings import CouplingSet
 from .integrate import DriveModel, integrate_segment_unitary, segment_hamiltonians
 from .operators import (cnot_matrix, embed, hadamard_matrix, pauli_z,
                         projector_12, reduced_density)
-from .pulses import (INTERACTION, PulseSchedule, PulseSlot, Pulse, SpinState,
+from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
                      hadamard_schedule, segment_unitary)
 
@@ -52,6 +53,8 @@ class ProtocolConfig:
 
     ``dephasing`` is a per-qubit phase-damping rate in 1/s (scalar applies
     to all three). ``couplings`` may be omitted in ideal mode only.
+    ``pulses`` is derived: the interaction-frame `PulseContext` of
+    ``couplings``, ``t_m`` and ``rabi`` that builds every stage schedule.
     """
 
     alpha: complex
@@ -62,6 +65,7 @@ class ProtocolConfig:
     dephasing: tuple[float, float, float] = (0.0, 0.0, 0.0)
     t_m: float = T_M_DEFAULT
     rabi: float = RABI_DEFAULT
+    pulses: PulseContext = field(init=False)
 
     def __post_init__(self) -> None:
         if self.gate_mode not in GATE_MODES:
@@ -81,6 +85,8 @@ class ProtocolConfig:
                              "integrated gate mode")
         if self.gate_mode != "ideal" and self.couplings is None:
             raise ValueError(f"{self.gate_mode} mode requires a coupling set")
+        object.__setattr__(self, "pulses", PulseContext(
+            self.couplings, INTERACTION, self.t_m, self.rabi))
 
 
 @dataclass(frozen=True)
@@ -199,33 +205,27 @@ def fidelity(output, alpha: complex, beta: complex) -> float:
 
 # -- scheduled gate assembly --------------------------------------------------
 
-def correction_schedule(bits: tuple[int, int], *, t_m: float = T_M_DEFAULT,
-                        rabi: float = RABI_DEFAULT) -> PulseSchedule:
+def correction_schedule(bits: tuple[int, int],
+                        ctx: PulseContext = PulseContext()) -> PulseSchedule:
     """Microwave realization of each correction (equal to it up to global phase)."""
-    def one(theta, phi, tag):
-        return PulseSchedule(
-            (PulseSlot((Pulse(3, theta, phi, rabi, theta / rabi),), t_m, tag),),
-            INTERACTION)
-
     if bits == (0, 0):
-        return one(np.pi, 0.0, "x180 ion3")
+        return ctx.schedule(ctx.slot("x180 ion3", (3, np.pi, 0.0)))
     if bits == (0, 1):
-        return PulseSchedule((), INTERACTION)
+        return ctx.schedule()
     if bits == (1, 0):
-        return one(np.pi, np.pi / 2.0, "y180 ion3")
+        return ctx.schedule(ctx.slot("y180 ion3", (3, np.pi, np.pi / 2.0)))
     if bits == (1, 1):
-        half = composite_z_rotation(3, +1, t_m=t_m, rabi=rabi)
+        half = composite_z_rotation(3, +1, ctx)
         return half + half
     raise ValueError(f"invalid measurement bits {bits!r}")
 
 
-def protocol_schedules(couplings: CouplingSet, *, t_m: float = T_M_DEFAULT,
-                       rabi: float = RABI_DEFAULT) -> dict:
-    """The coherent stages as pulse schedules (interaction frame)."""
+def protocol_schedules(ctx: PulseContext) -> dict:
+    """The coherent stages as pulse schedules."""
     return {
-        "entangle": build_cnot(2, 3, couplings, t_m=t_m, rabi=rabi),
-        "encode": build_cnot(1, 2, couplings, t_m=t_m, rabi=rabi),
-        "rotate": hadamard_schedule(1, t_m=t_m, rabi=rabi),
+        "entangle": build_cnot(2, 3, ctx),
+        "encode": build_cnot(1, 2, ctx),
+        "rotate": hadamard_schedule(1, ctx),
     }
 
 
@@ -299,7 +299,7 @@ def run_teleport(config: ProtocolConfig,
             gate_mode=config.gate_mode, alpha=config.alpha, beta=config.beta,
             dephasing=config.dephasing, qubit3_state=out)
 
-    stages = protocol_schedules(config.couplings, t_m=config.t_m, rabi=config.rabi)
+    stages = protocol_schedules(config.pulses)
     tracker = _DensityTracker(state, config.dephasing) if noisy else None
     amps = state.amplitudes
 
@@ -324,7 +324,7 @@ def run_teleport(config: ProtocolConfig,
             SpinState(amps, INTERACTION), rng, force_outcome)
         amps = collapsed.amplitudes
 
-    run_stage("correct", correction_schedule(bits, t_m=config.t_m, rabi=config.rabi))
+    run_stage("correct", correction_schedule(bits, config.pulses))
 
     if tracker is not None:
         rho3 = reduced_density(tracker.rho, (3,))

@@ -11,24 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import TWO_PI
-from .couplings import (CouplingSet, FieldConfig, compute_couplings,
-                        heating_time_scaled, neighbor_resonance_shift)
+from .couplings import (CouplingSet, FieldConfig, heating_time_scaled,
+                        neighbor_resonance_shift, solve_chain)
 from .integrate import DriveModel, integrate_exact
 from .operators import cnot_matrix, deviation_up_to_phase, max_unitarity_defect
 from .presets import PRESETS, REFERENCE, preset_layout_field
-from .pulses import (FreeEvolution, INTERACTION, LAB, PulseSchedule, SpinState,
-                     build_cnot, refocused_zz, schedule_unitary,
+from .pulses import (FreeEvolution, INTERACTION, LAB, PulseContext, PulseSchedule,
+                     SpinState, build_cnot, refocused_zz, schedule_unitary,
                      single_qubit_rotation)
 from .teleport import ProtocolConfig, run_teleport
-from .trap import (TrapLayout, linear_frequency_for_spacing, normal_modes,
-                   potential_hessian, solve_equilibrium, total_potential)
+from .trap import (TrapLayout, linear_frequency_for_spacing, potential_hessian,
+                   total_potential)
 
 
-def _pipeline(preset: str):
-    layout, field = preset_layout_field(preset)
-    eq = solve_equilibrium(layout)
-    modes = normal_modes(layout, eq)
-    return layout, field, eq, modes, compute_couplings(modes, field, eq)
+def _d4_chain():
+    return solve_chain(*preset_layout_field("table1-d4"))
 
 
 def _random_couplings(rng) -> CouplingSet:
@@ -39,7 +36,8 @@ def _random_couplings(rng) -> CouplingSet:
 
 
 def check_table1_d4():
-    _, _, eq, modes, c = _pipeline("table1-d4")
+    chain = _d4_chain()
+    eq, c = chain.equilibrium, chain.couplings
     ref = REFERENCE["table1-d4"]
     checks = [
         ("delta", eq.delta * 1e6, ref["delta_um"], 0.01),
@@ -59,18 +57,15 @@ def check_table3_rows():
         row, ref = PRESETS[name], REFERENCE[name]
         w = linear_frequency_for_spacing(row["h_um"] * 1e-6)
         worst = max(worst, abs(w / (TWO_PI * 1e6 * row["w_2pi_mhz"]) - 1.0) / 0.02)
-        layout = TrapLayout.linear(w)
-        eq = solve_equilibrium(layout)
-        modes = normal_modes(layout, eq)
-        c = compute_couplings(modes, FieldConfig(row["gradient_t_per_m"]), eq)
+        c = solve_chain(TrapLayout.linear(w),
+                        FieldConfig(row["gradient_t_per_m"])).couplings
         worst = max(worst, abs(c.J / (TWO_PI * 1e3) / ref["j_2pi_khz"] - 1.0) / 0.03)
         worst = max(worst, abs(c.J13 / (TWO_PI * 1e3) / ref["j13_2pi_khz"] - 1.0) / 0.03)
     return "table3 rows (W from h; J, J13)", worst < 1.0, f"worst margin use {worst:.2f}"
 
 
 def check_modes_d4():
-    _, _, _, modes, _ = _pipeline("table1-d4")
-    got = modes.nu / (TWO_PI * 1e6)
+    got = _d4_chain().modes.nu / (TWO_PI * 1e6)
     want = np.array([1.32, 1.54, 1.70])
     ok = np.all(np.abs(got / want - 1.0) < 0.02)
     return "normal modes at table1-d4", bool(ok), f"nu={np.round(got, 4)} x2pi MHz"
@@ -90,8 +85,7 @@ def check_heating():
 
 
 def check_cnot_duration():
-    *_, c = _pipeline("table1-d4")
-    sched = build_cnot(2, 3, c)
+    sched = build_cnot(2, 3, PulseContext(_d4_chain().couplings))
     t_zz = sum(i.duration for i in sched.items if isinstance(i, FreeEvolution))
     ok = abs(sched.total_duration / 3.84e-3 - 1.0) < 0.02 and \
         abs(t_zz / 3.82e-3 - 1.0) < 0.02
@@ -106,7 +100,7 @@ def check_refocusing_lab():
         c = _random_couplings(rng)
         target = np.diag(np.exp(-1j * np.pi / 4 *
                                 np.array([1, -1, -1, 1, 1, -1, -1, 1.0])))
-        U = schedule_unitary(refocused_zz(c, LAB), c)
+        U = schedule_unitary(refocused_zz(PulseContext(c, LAB)), c)
         worst = max(worst, deviation_up_to_phase(U, target))
     return "lab-frame refocusing identity", worst < 1e-9, f"max deviation {worst:.2e}"
 
@@ -117,7 +111,7 @@ def check_cnot_identity():
     for pair in ((2, 3), (1, 2)):
         for _ in range(5):
             c = _random_couplings(rng)
-            U = schedule_unitary(build_cnot(*pair, c, frame=LAB), c)
+            U = schedule_unitary(build_cnot(*pair, PulseContext(c, LAB)), c)
             worst = max(worst, deviation_up_to_phase(U, cnot_matrix(*pair)))
     return "cnot equals the canonical gate", worst < 1e-9, f"max deviation {worst:.2e}"
 
@@ -153,7 +147,7 @@ def check_unitarity():
     worst = 0.0
     for _ in range(10):
         c = _random_couplings(rng)
-        for U in (schedule_unitary(build_cnot(2, 3, c), c),
+        for U in (schedule_unitary(build_cnot(2, 3, PulseContext(c)), c),
                   single_qubit_rotation(1, rng.uniform(0, 4 * np.pi),
                                         rng.uniform(0, TWO_PI))):
             worst = max(worst, max_unitarity_defect(U))
@@ -161,8 +155,8 @@ def check_unitarity():
 
 
 def check_hessian():
-    layout, _ = preset_layout_field("table1-d4")
-    eq = solve_equilibrium(layout)
+    chain = _d4_chain()
+    layout, eq = chain.layout, chain.equilibrium
     analytic = potential_hessian(layout, eq.positions)
     step = 3e-9
     fd = np.zeros((3, 3))
@@ -180,8 +174,8 @@ def check_hessian():
 
 
 def check_integrator():
-    c = _pipeline("table1-d4")[4]
-    sched = PulseSchedule(build_cnot(2, 3, c).items[:1], INTERACTION)
+    c = _d4_chain().couplings
+    sched = PulseSchedule(build_cnot(2, 3, PulseContext(c)).items[:1], INTERACTION)
     state = SpinState.product([1, 1], [1, -1], [1, 1j])
     res = integrate_exact(state, sched, c, DriveModel(include_ising=False))
     ideal = single_qubit_rotation(3, np.pi / 2, np.pi / 2) @ state.amplitudes

@@ -5,13 +5,9 @@ import gradion as g
 
 
 @pytest.fixture(scope="session")
-def d4_pipeline():
-    """Solved table1-d4 preset: (layout, field, equilibrium, modes, couplings)."""
-    layout, field = g.preset_layout_field("table1-d4")
-    eq = g.solve_equilibrium(layout)
-    modes = g.normal_modes(layout, eq)
-    couplings = g.compute_couplings(modes, field, eq)
-    return layout, field, eq, modes, couplings
+def d4_chain():
+    """Solved table1-d4 preset."""
+    return g.solve_chain(*g.preset_layout_field("table1-d4"))
 
 
 @pytest.fixture()

@@ -32,16 +32,10 @@ def report(number, elapsed, detail):
     print(f"ACCEPTANCE {number}: PASS ({elapsed:.2f} s) {detail}")
 
 
-def solved_preset(name):
-    layout, field = g.preset_layout_field(name)
-    eq = g.solve_equilibrium(layout)
-    modes = g.normal_modes(layout, eq)
-    return layout, field, eq, modes, g.compute_couplings(modes, field, eq)
-
-
 def test_criterion_1_table1_d4_row():
     with Stopwatch() as sw:
-        _, _, eq, _, c = solved_preset("table1-d4")
+        chain = g.solve_chain(*g.preset_layout_field("table1-d4"))
+    eq, c = chain.equilibrium, chain.couplings
     assert eq.delta * 1e6 == pytest.approx(0.628, rel=0.01)
     assert eq.h * 1e6 == pytest.approx(4.628, rel=0.01)
     assert c.eps_max == pytest.approx(0.0340, rel=0.03)
@@ -62,10 +56,7 @@ def test_criterion_2_table3_rows():
     for h_um, (w_ref, gradient, j_ref, j13_ref) in listed.items():
         with Stopwatch() as sw:
             w = g.linear_frequency_for_spacing(h_um * 1e-6)
-            layout = g.TrapLayout.linear(w)
-            eq = g.solve_equilibrium(layout)
-            modes = g.normal_modes(layout, eq)
-            c = g.compute_couplings(modes, g.FieldConfig(gradient), eq)
+            c = g.solve_chain(g.TrapLayout.linear(w), g.FieldConfig(gradient)).couplings
         assert w / (g.TWO_PI * 1e6) == pytest.approx(w_ref, rel=0.02)
         assert c.J / (g.TWO_PI * 1e3) == pytest.approx(j_ref, rel=0.03)
         assert c.J13 / (g.TWO_PI * 1e3) == pytest.approx(j13_ref, rel=0.03)
@@ -77,7 +68,7 @@ def test_criterion_2_table3_rows():
 
 def test_criterion_3_normal_modes():
     with Stopwatch() as sw:
-        _, _, _, modes, _ = solved_preset("table1-d4")
+        modes = g.solve_chain(*g.preset_layout_field("table1-d4")).modes
     got = modes.nu / (g.TWO_PI * 1e6)
     assert got == pytest.approx([1.32, 1.54, 1.70], rel=0.02)
     report(3, sw.elapsed, f"nu = {np.round(got, 4)} x2pi MHz")
@@ -100,8 +91,8 @@ def test_criterion_5_heating_estimate():
 
 def test_criterion_6_cnot_duration():
     with Stopwatch() as sw:
-        *_, c = solved_preset("table1-d4")
-        sched = g.build_cnot(2, 3, c)
+        c = g.solve_chain(*g.preset_layout_field("table1-d4")).couplings
+        sched = g.build_cnot(2, 3, g.PulseContext(c))
         t_zz = sum(i.duration for i in sched.items
                    if isinstance(i, g.FreeEvolution))
     assert t_zz == pytest.approx(7 * np.pi / (2 * c.J), rel=1e-12)
@@ -121,7 +112,7 @@ def test_criterion_7_property_suite():
         worst_refocus = 0.0
         for _ in range(100):
             c = random_couplings(rng)
-            U = g.schedule_unitary(g.refocused_zz(c, g.LAB), c)
+            U = g.schedule_unitary(g.refocused_zz(g.PulseContext(c, g.LAB)), c)
             worst_refocus = max(worst_refocus,
                                 phase_aligned_deviation(U, zz_target))
         assert worst_refocus < 1e-9
@@ -132,7 +123,8 @@ def test_criterion_7_property_suite():
         for pair in ((2, 3), (1, 2)):
             for _ in range(10):
                 c = random_couplings(rng)
-                U = g.schedule_unitary(g.build_cnot(*pair, c, frame=g.LAB), c)
+                U = g.schedule_unitary(
+                    g.build_cnot(*pair, g.PulseContext(c, g.LAB)), c)
                 worst_cnot = max(worst_cnot,
                                  phase_aligned_deviation(U, cnot_permutation(*pair)))
                 unitarity = max(unitarity, max_unitarity_defect(U))
@@ -159,7 +151,8 @@ def test_criterion_7_property_suite():
         assert worst_prob < 1e-12
 
         # analytic Hessian vs finite differences
-        layout, _, eq, *_ = solved_preset("table1-d4")
+        chain = g.solve_chain(*g.preset_layout_field("table1-d4"))
+        layout, eq = chain.layout, chain.equilibrium
         analytic = g.potential_hessian(layout, eq.positions)
         step = 3e-9
         fd = np.zeros((3, 3))
@@ -204,7 +197,7 @@ def test_criterion_8_search_reproduction():
 
 
 def test_criterion_9_integrator_consistency():
-    *_, c = solved_preset("table1-d4")
+    c = g.solve_chain(*g.preset_layout_field("table1-d4")).couplings
     rabi = g.TWO_PI * 1e6
     slot = g.PulseSlot((g.Pulse(2, np.pi, 0.4, rabi, np.pi / rabi),), 2.5e-6)
     sched = g.PulseSchedule((slot,), g.INTERACTION)

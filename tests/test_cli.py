@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,6 +216,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["couplings", "--preset", "table9-z1"])
         assert code == 1
         assert "unknown preset" in err
+
+    def test_unnormalized_amplitudes_is_1(self, capsys):
+        code, _, err = run_cli(capsys, ["teleport", "--alpha", "1", "--beta", "1"])
+        assert code == 1
+        assert err.startswith("error:") and "amplitudes" in err
+
+    @pytest.mark.parametrize("argv", [["cnot"], ["teleport", "--mode", "scheduled"]])
+    def test_zero_rabi_is_1_without_traceback(self, tmp_path, argv):
+        config = tmp_path / "rabi.cfg"
+        config.write_text("rabi_2pi_mhz = 0\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(g.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradion.cli", *argv, "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Rabi frequency" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -8,16 +8,9 @@ from gradion.operators import spin_hamiltonian_matrix
 from util import random_couplings
 
 
-def solved(preset):
-    layout, field = g.preset_layout_field(preset)
-    eq = g.solve_equilibrium(layout)
-    modes = g.normal_modes(layout, eq)
-    return layout, field, eq, modes
-
-
 class TestQubitFrequencies:
-    def test_gradient_formula(self, d4_pipeline):
-        _, field, eq, *_ = d4_pipeline
+    def test_gradient_formula(self, d4_chain):
+        field, eq = d4_chain.field, d4_chain.equilibrium
         w, dwdz = g.qubit_frequencies(field, eq)
         c = g.DEFAULT_CONSTANTS
         assert dwdz == pytest.approx(2 * c.mu_b * 500.0 / c.hbar, rel=1e-12)
@@ -25,8 +18,8 @@ class TestQubitFrequencies:
         assert (w[1] - w[0]) / (g.TWO_PI * 1e6) == pytest.approx(64.8, rel=0.01)
         assert w[2] - w[1] == pytest.approx(w[1] - w[0], rel=1e-9)
 
-    def test_zero_gradient_uniform(self, d4_pipeline):
-        _, _, eq, *_ = d4_pipeline
+    def test_zero_gradient_uniform(self, d4_chain):
+        eq = d4_chain.equilibrium
         w, dwdz = g.qubit_frequencies(g.FieldConfig(0.0), eq)
         assert dwdz == 0.0
         assert np.ptp(w) == 0.0
@@ -57,28 +50,27 @@ class TestFieldValidation:
 
 
 class TestCouplings:
-    def test_table1_d4_values(self, d4_pipeline):
-        *_, couplings = d4_pipeline
+    def test_table1_d4_values(self, d4_chain):
+        couplings = d4_chain.couplings
         assert couplings.J / (g.TWO_PI * 1e3) == pytest.approx(0.459, rel=0.03)
         assert couplings.J13 / (g.TWO_PI * 1e3) == pytest.approx(0.135, rel=0.04)
         assert couplings.eps_max == pytest.approx(0.0340, rel=0.03)
 
     def test_table3_h4_values(self):
-        layout, field, eq, modes = solved("table3-h4")
-        couplings = g.compute_couplings(modes, field, eq)
+        couplings = g.solve_chain(*g.preset_layout_field("table3-h4")).couplings
         assert couplings.J / (g.TWO_PI * 1e3) == pytest.approx(0.359, rel=0.03)
         assert couplings.J13 / (g.TWO_PI * 1e3) == pytest.approx(0.254, rel=0.03)
         assert couplings.eps_max == pytest.approx(0.0263, rel=0.03)
 
-    def test_zero_gradient_kills_couplings(self, d4_pipeline):
-        _, _, eq, modes, _ = d4_pipeline
+    def test_zero_gradient_kills_couplings(self, d4_chain):
+        eq, modes = d4_chain.equilibrium, d4_chain.modes
         couplings = g.compute_couplings(modes, g.FieldConfig(0.0), eq)
         assert couplings.J == 0.0 and couplings.J13 == 0.0
         assert np.all(couplings.eps == 0.0)
         assert np.all(couplings.eta_prime == couplings.eta)
 
-    def test_lamb_dicke_formula_and_eta_prime(self, d4_pipeline):
-        _, field, eq, modes, couplings = d4_pipeline
+    def test_lamb_dicke_formula_and_eta_prime(self, d4_chain):
+        field, modes = d4_chain.field, d4_chain.modes
         eps, eps_max, eta_prime = g.effective_lamb_dicke(modes, field)
         c = g.DEFAULT_CONSTANTS
         dwdz = 2 * c.mu_b * field.gradient / c.hbar
@@ -90,8 +82,9 @@ class TestCouplings:
         assert eps_max == pytest.approx(np.max(np.abs(eps)), rel=1e-15)
         assert np.allclose(eta_prime, np.sqrt(field.eta**2 + eps**2), rtol=1e-12)
 
-    def test_sign_flip_invariance_of_J(self, d4_pipeline, rng):
-        _, field, eq, modes, couplings = d4_pipeline
+    def test_sign_flip_invariance_of_J(self, d4_chain, rng):
+        field, eq, modes = d4_chain.field, d4_chain.equilibrium, d4_chain.modes
+        couplings = d4_chain.couplings
         for _ in range(10):
             signs = rng.choice([-1.0, 1.0], size=3)
             flipped = g.NormalModes(modes.nu, modes.D * signs[np.newaxis, :])
@@ -119,19 +112,20 @@ class TestCouplings:
             assert packaged.J == pytest.approx(jmat[0, 1], rel=1e-10)
             assert packaged.J13 == pytest.approx(jmat[0, 2], rel=1e-10)
 
-    def test_mode_sum_equals_inverse_hessian_route(self, d4_pipeline, rng):
+    def test_mode_sum_equals_inverse_hessian_route(self, d4_chain, rng):
         # J_ij = (hbar/2) (dw/dz)^2 [K^-1]_ij since K = m D diag(nu^2) D^T;
         # inverting the Hessian directly is an independent route to the same
         # couplings, with no eigendecomposition involved
-        layout, field, eq, modes, couplings = d4_pipeline
+        layout, eq = d4_chain.layout, d4_chain.equilibrium
+        couplings = d4_chain.couplings
         c = g.DEFAULT_CONSTANTS
         kinv = np.linalg.inv(g.potential_hessian(layout, eq.positions))
         jmat = 0.5 * c.hbar * couplings.dwdz**2 * kinv
         assert couplings.J == pytest.approx(jmat[0, 1], rel=1e-10)
         assert couplings.J13 == pytest.approx(jmat[0, 2], rel=1e-10)
 
-    def test_scaling_with_gradient(self, d4_pipeline):
-        _, _, eq, modes, _ = d4_pipeline
+    def test_scaling_with_gradient(self, d4_chain):
+        eq, modes = d4_chain.equilibrium, d4_chain.modes
         low = g.compute_couplings(modes, g.FieldConfig(200.0), eq)
         high = g.compute_couplings(modes, g.FieldConfig(600.0), eq)
         assert high.eps_max == pytest.approx(3.0 * low.eps_max, rel=1e-12)
@@ -222,3 +216,25 @@ class TestHeatingTime:
         assert g.heating_time_scaled(1.0, 1e-6, 2e-6) == pytest.approx(16.0)
         with pytest.raises(ValueError):
             g.heating_time_scaled(1.0, 1e-6, -2e-6)
+
+
+class TestSolveChain:
+    def test_matches_step_by_step_pipeline_with_layout_constants(self):
+        constants = g.DEFAULT_CONSTANTS.with_mass_amu(171.0)
+        layout, field = g.preset_layout_field("table1-d4", constants)
+        chain = g.solve_chain(layout, field)
+        eq = g.solve_equilibrium(layout)
+        modes = g.normal_modes(layout, eq)
+        want = g.compute_couplings(modes, field, eq, constants)
+        assert chain.layout is layout and chain.field is field
+        np.testing.assert_array_equal(chain.equilibrium.positions, eq.positions)
+        np.testing.assert_array_equal(chain.modes.nu, modes.nu)
+        np.testing.assert_array_equal(chain.modes.D, modes.D)
+        got = chain.couplings
+        assert (got.J, got.J13, got.dwdz, got.eps_max) == (
+            want.J, want.J13, want.dwdz, want.eps_max)
+        np.testing.assert_array_equal(got.w, want.w)
+        np.testing.assert_array_equal(got.eps, want.eps)
+        default = g.solve_chain(*g.preset_layout_field("table1-d4")).couplings
+        assert abs(got.J / default.J - 1.0) > 1e-3
+        assert abs(got.eps_max / default.eps_max - 1.0) > 1e-3

@@ -20,12 +20,6 @@ def one_pulse_schedule(ion=2, theta=np.pi, phi=0.3, rabi=g.TWO_PI * 1e6):
     return g.PulseSchedule((slot,), g.INTERACTION)
 
 
-def preset_couplings(name):
-    layout, field = g.preset_layout_field(name)
-    eq = g.solve_equilibrium(layout)
-    return g.compute_couplings(g.normal_modes(layout, eq), field, eq)
-
-
 class TestPulseLimit:
     def test_matches_ideal_rotation_without_ising(self, rng):
         couplings = random_couplings(rng)
@@ -55,9 +49,10 @@ class TestExpmOracle:
         # every segment the integrated teleport mode propagates: the three
         # coherent stages and all four correction schedules, each distinct
         # (H, t) once, since scipy's expm dominates the run time
-        couplings = preset_couplings(preset)
-        schedules = list(protocol_schedules(couplings).values())
-        schedules += [correction_schedule(bits) for bits in CORRECTIONS]
+        couplings = g.solve_chain(*g.preset_layout_field(preset)).couplings
+        ctx = g.PulseContext(couplings)
+        schedules = list(protocol_schedules(ctx).values())
+        schedules += [correction_schedule(bits, ctx) for bits in CORRECTIONS]
         segments = {(H.tobytes(), t): (H, t) for sched in schedules
                     for H, t in segment_hamiltonians(sched, couplings, DriveModel())}
         worst = max(float(np.max(np.abs(integrate_segment_unitary(H, t)
@@ -65,9 +60,9 @@ class TestExpmOracle:
                     for H, t in segments.values())
         assert worst <= 1e-12
 
-    def test_pulse_and_free_schedule_matches_oracle(self, d4_pipeline):
+    def test_pulse_and_free_schedule_matches_oracle(self, d4_chain):
         # independent Hamiltonians: the drive and spin terms from tests/util.py
-        couplings = d4_pipeline[4]
+        couplings = d4_chain.couplings
         rabi = g.TWO_PI * 1e6
         items = one_pulse_schedule(rabi=rabi).items + (g.FreeEvolution(2e-4),)
         sched = g.PulseSchedule(items, g.INTERACTION)
@@ -80,10 +75,10 @@ class TestExpmOracle:
         assert np.linalg.norm(res.state.amplitudes - want) <= 1e-12
         assert res.norm_drift <= 1e-13
 
-    def test_long_segments_stay_exact(self, d4_pipeline):
+    def test_long_segments_stay_exact(self, d4_chain):
         # a 101 pi pulse and a 0.1 s free interval: long segments need no
         # step control and keep the propagator unitary
-        couplings = d4_pipeline[4]
+        couplings = d4_chain.couplings
         rabi = g.TWO_PI * 1e6
         items = (one_pulse_schedule(theta=101 * np.pi, rabi=rabi).items
                  + (g.FreeEvolution(0.1),))
@@ -97,12 +92,12 @@ class TestExpmOracle:
 
 
 class TestCnotResidualIsingPhase:
-    def test_infidelity_scale(self, d4_pipeline):
+    def test_infidelity_scale(self, d4_chain):
         # The ideal model drops spin-spin evolution during the ~9.5 us of
         # pulsing; the integrator keeps it. The resulting infidelity for the
         # table1-d4 CNOT is a few 1e-5 (J * pulse time ~ 3e-2 rad).
-        couplings = d4_pipeline[4]
-        sched = g.build_cnot(2, 3, couplings)
+        couplings = d4_chain.couplings
+        sched = g.build_cnot(2, 3, g.PulseContext(couplings))
         state = g.SpinState.product([1, 1], [1, 1], [0, 1])
         res = g.integrate_exact(state, sched, couplings)
         infidelity = 1.0 - res.fidelity_to_ideal
@@ -110,11 +105,11 @@ class TestCnotResidualIsingPhase:
         assert infidelity == pytest.approx(4.575e-5, rel=0.01)
         assert res.norm_drift < 1e-9
 
-    def test_validation(self, d4_pipeline, rng):
-        couplings = d4_pipeline[4]
+    def test_validation(self, d4_chain, rng):
+        couplings = d4_chain.couplings
         state = plus_state()
         with pytest.raises(ValueError):
-            g.integrate_exact(state, g.refocused_zz(couplings, g.LAB), couplings)
+            g.integrate_exact(state, g.refocused_zz(g.PulseContext(couplings, g.LAB)), couplings)
         lab_state = g.SpinState(state.amplitudes, g.LAB)
         with pytest.raises(ValueError):
             g.integrate_exact(lab_state, one_pulse_schedule(), couplings)

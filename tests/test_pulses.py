@@ -80,7 +80,7 @@ class TestRefocusedZZ:
         for frame in (g.INTERACTION, g.LAB):
             for _ in range(10):
                 couplings = random_couplings(rng)
-                sched = g.refocused_zz(couplings, frame)
+                sched = g.refocused_zz(g.PulseContext(couplings, frame))
                 U = g.schedule_unitary(sched, couplings)
                 assert phase_aligned_deviation(U, Z2Z3_TARGET) < 1e-9
 
@@ -88,32 +88,33 @@ class TestRefocusedZZ:
         couplings = random_couplings(rng)
         target = np.diag(np.exp(-1j * np.pi / 4 *
                                 np.array([1, 1, -1, -1, -1, -1, 1, 1.0])))
-        sched = g.refocused_zz(couplings, g.LAB, pair=(1, 2))
+        sched = g.refocused_zz(g.PulseContext(couplings, g.LAB), pair=(1, 2))
         assert phase_aligned_deviation(g.schedule_unitary(sched, couplings),
                                        target) < 1e-9
 
-    def test_identity_at_13ghz_lab_scale(self, d4_pipeline):
+    def test_identity_at_13ghz_lab_scale(self, d4_chain):
         # realistic qubit frequencies: each quarter accrues ~8e7 rad of
         # phase, so double precision can cancel it no better than
         # eps * w * t/4 ~ 1e-8; the identity must hold at that floor
         from dataclasses import replace
         couplings = replace(
-            d4_pipeline[4],
+            d4_chain.couplings,
             w=g.TWO_PI * np.array([13.0e9 - 64.8e6, 13.0e9, 13.0e9 + 64.8e6]))
-        U = g.schedule_unitary(g.refocused_zz(couplings, g.LAB), couplings)
+        sched = g.refocused_zz(g.PulseContext(couplings, g.LAB))
+        U = g.schedule_unitary(sched, couplings)
         t = 7 * np.pi / (2 * couplings.J)
         noise_floor = np.finfo(float).eps * np.max(couplings.w) * t / 4
         assert phase_aligned_deviation(U, Z2Z3_TARGET) < 4 * noise_floor
 
     def test_matches_expm_oracle_composition(self, rng):
         couplings = random_couplings(rng)
-        sched = g.refocused_zz(couplings, g.LAB)
+        sched = g.refocused_zz(g.PulseContext(couplings, g.LAB))
         assert np.allclose(g.schedule_unitary(sched, couplings),
                            schedule_oracle_unitary(sched, couplings), atol=1e-10)
 
-    def test_duration_accounting(self, d4_pipeline):
-        couplings = d4_pipeline[4]
-        sched = g.refocused_zz(couplings)
+    def test_duration_accounting(self, d4_chain):
+        couplings = d4_chain.couplings
+        sched = g.refocused_zz(g.PulseContext(couplings))
         t = 7 * np.pi / (2 * couplings.J)
         assert t * 1e3 == pytest.approx(3.82, rel=0.02)
         free_total = sum(i.duration for i in sched.items
@@ -128,7 +129,7 @@ class TestRefocusedZZ:
         # quarter-interval bookkeeping: track the sign of each sigma_z through
         # the pi pulses and accumulate each Hamiltonian term's weight
         couplings = random_couplings(rng)
-        sched = g.refocused_zz(couplings, g.INTERACTION, pair=(2, 3))
+        sched = g.refocused_zz(g.PulseContext(couplings, g.INTERACTION), pair=(2, 3))
         signs = np.ones(3)
         weights = {"z1": 0.0, "z2": 0.0, "z3": 0.0,
                    "z1z2": 0.0, "z1z3": 0.0, "z2z3": 0.0}
@@ -154,11 +155,11 @@ class TestRefocusedZZ:
         from dataclasses import replace
         couplings = replace(random_couplings(rng), J=0.0)
         with pytest.raises(ValueError):
-            g.refocused_zz(couplings)
+            g.refocused_zz(g.PulseContext(couplings))
 
     def test_rejects_outer_pair(self, rng):
         with pytest.raises(ValueError):
-            g.refocused_zz(random_couplings(rng), pair=(1, 3))
+            g.refocused_zz(g.PulseContext(random_couplings(rng)), pair=(1, 3))
 
 
 class TestCompositeZ:
@@ -198,18 +199,18 @@ class TestBuildCnot:
     def test_equals_canonical_cnot(self, rng, pair):
         for frame in (g.INTERACTION, g.LAB):
             couplings = random_couplings(rng)
-            sched = g.build_cnot(*pair, couplings, frame=frame)
+            sched = g.build_cnot(*pair, g.PulseContext(couplings, frame))
             U = g.schedule_unitary(sched, couplings)
             assert phase_aligned_deviation(U, cnot_permutation(*pair)) < 1e-9
 
-    def test_duration_table1_d4(self, d4_pipeline):
-        couplings = d4_pipeline[4]
-        sched = g.build_cnot(2, 3, couplings)
+    def test_duration_table1_d4(self, d4_chain):
+        couplings = d4_chain.couplings
+        sched = g.build_cnot(2, 3, g.PulseContext(couplings))
         assert sched.total_duration * 1e3 == pytest.approx(3.84, rel=0.02)
 
     def test_double_cnot_is_identity(self, rng):
         couplings = random_couplings(rng)
-        sched = g.build_cnot(2, 3, couplings)
+        sched = g.build_cnot(2, 3, g.PulseContext(couplings))
         U = g.schedule_unitary(sched, couplings)
         assert phase_aligned_deviation(U @ U, np.eye(8)) < 1e-9
 
@@ -217,9 +218,9 @@ class TestBuildCnot:
         from dataclasses import replace
         couplings = random_couplings(rng)
         with pytest.raises(ValueError):
-            g.build_cnot(1, 3, couplings)
+            g.build_cnot(1, 3, g.PulseContext(couplings))
         with pytest.raises(ValueError):
-            g.build_cnot(2, 3, replace(couplings, J=-1.0))
+            g.build_cnot(2, 3, g.PulseContext(replace(couplings, J=-1.0)))
 
     def test_hadamard_schedule(self, rng):
         couplings = random_couplings(rng)
@@ -272,9 +273,9 @@ class TestCommensuration:
             assert wi * fit.duration - g.TWO_PI * n == pytest.approx(r, abs=1e-12)
             assert abs(r) <= fit.max_residual + 1e-15
 
-    def test_lab_frame_cnot_carries_cycle_data(self, d4_pipeline):
-        couplings = d4_pipeline[4]
-        sched = g.build_cnot(2, 3, couplings, frame=g.LAB, commensurate=True)
+    def test_lab_frame_cnot_carries_cycle_data(self, d4_chain):
+        couplings = d4_chain.couplings
+        sched = g.build_cnot(2, 3, g.PulseContext(couplings, g.LAB, commensurate=True))
         for pulse in sched.pulses():
             assert pulse.cycles is not None
             assert max(abs(r) for r in pulse.residuals) < 1e-3
@@ -283,8 +284,46 @@ class TestCommensuration:
 
     def test_commensurate_rejected_off_lab_frame(self, rng):
         with pytest.raises(ValueError):
-            g.composite_z_rotation(1, +1, couplings=random_couplings(rng),
-                                   commensurate=True)
+            g.PulseContext(random_couplings(rng), commensurate=True)
+
+
+class TestPulseContext:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_rabi_rejected(self, bad):
+        with pytest.raises(ValueError, match="Rabi frequency must be finite and positive"):
+            g.PulseContext(rabi=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_t_m_rejected(self, bad):
+        with pytest.raises(ValueError, match="t_m must be finite and non-negative"):
+            g.PulseContext(t_m=bad)
+
+    def test_unknown_frame_rejected(self):
+        with pytest.raises(ValueError, match="unknown frame 'rotating'"):
+            g.PulseContext(frame="rotating")
+
+    def test_commensurate_needs_couplings(self):
+        with pytest.raises(ValueError, match="qubit frequencies"):
+            g.PulseContext(frame=g.LAB, commensurate=True)
+
+    def test_refocusing_needs_couplings(self):
+        with pytest.raises(ValueError, match="needs a coupling set"):
+            g.build_cnot(2, 3, g.PulseContext())
+
+    def test_slot_realizes_rotations(self):
+        ctx = g.PulseContext(t_m=3e-6, rabi=g.TWO_PI * 2e6)
+        slot = ctx.slot("pair", (1, np.pi, 0.0), (3, np.pi / 2, 0.5))
+        assert slot.duration == 3e-6 and slot.label == "pair"
+        assert [(p.ion, p.theta, p.phi) for p in slot.pulses] == [
+            (1, np.pi, 0.0), (3, np.pi / 2, 0.5)]
+        for p in slot.pulses:
+            assert p.rabi == ctx.rabi and p.duration == p.theta / ctx.rabi
+        assert ctx.schedule(slot).items == (slot,)
+        assert ctx.schedule().frame == g.INTERACTION
+
+    def test_refocusing_reuses_flip_slots(self, rng):
+        items = g.refocused_zz(g.PulseContext(random_couplings(rng), g.LAB)).items
+        assert items[1] is items[5] and items[3] is items[7]
 
 
 class TestApplySchedule:
@@ -296,7 +335,7 @@ class TestApplySchedule:
 
     def test_refocused_on_plus_states_matches_oracle(self, rng):
         couplings = random_couplings(rng)
-        sched = g.refocused_zz(couplings)
+        sched = g.refocused_zz(g.PulseContext(couplings))
         state = g.SpinState.product([1, 0], [1, 1], [1, 1])
         out = g.apply_schedule(state, sched, couplings)
         oracle = schedule_oracle_unitary(sched, couplings) @ state.amplitudes
@@ -304,7 +343,7 @@ class TestApplySchedule:
 
     def test_linearity(self, rng):
         couplings = random_couplings(rng)
-        sched = g.build_cnot(2, 3, couplings)
+        sched = g.build_cnot(2, 3, g.PulseContext(couplings))
         a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         a /= np.linalg.norm(a)
@@ -341,7 +380,8 @@ class TestApplySchedule:
         couplings = random_couplings(rng)
         state = g.SpinState.product([1, 0], [1, 0], [1, 0], frame=g.LAB)
         with pytest.raises(ValueError):
-            g.apply_schedule(state, g.refocused_zz(couplings, g.INTERACTION),
+            g.apply_schedule(state,
+                             g.refocused_zz(g.PulseContext(couplings, g.INTERACTION)),
                              couplings)
 
 
@@ -352,44 +392,48 @@ def random_gate_schedules(draw):
     frame = draw(st.sampled_from((g.LAB, g.INTERACTION)))
     t_m = draw(st.floats(0.0, 1e-5))
     rabi = g.TWO_PI * 1e6 * draw(st.floats(0.5, 2.0))
+    ctx = g.PulseContext(couplings, frame, t_m, rabi)
     if draw(st.booleans()):
         control, target = draw(st.sampled_from(((1, 2), (2, 1), (2, 3), (3, 2))))
-        sched = g.build_cnot(control, target, couplings, t_m, frame, rabi=rabi)
+        sched = g.build_cnot(control, target, ctx)
     else:
-        sched = g.hadamard_schedule(draw(st.integers(1, 3)), t_m=t_m, rabi=rabi,
-                                    frame=frame, couplings=couplings)
+        sched = g.hadamard_schedule(draw(st.integers(1, 3)), ctx)
     return sched, couplings
 
 
-def free_phase_bound(schedule, couplings):
-    """Upper bound on the summed |E t| of the schedule's free intervals."""
-    w = couplings.w if schedule.frame == g.LAB else np.zeros(3)
-    energy = 0.5 * np.sum(np.abs(w)) + couplings.J + 0.5 * couplings.J13
-    return energy * sum(item.duration for item in schedule.items
-                        if isinstance(item, g.FreeEvolution))
+def flat_fields(schedule):
+    """Every value the wire format carries, segment by segment."""
+    fields = []
+    for item in schedule.items:
+        if isinstance(item, g.FreeEvolution):
+            fields.append(("FREE", item.duration))
+        else:
+            fields.extend(("PULSE", p.ion, p.theta, p.phi, p.rabi, p.duration)
+                          for p in item.pulses)
+    return fields
 
 
 class TestSerialization:
-    def test_round_trip_unitary(self, d4_pipeline):
-        couplings = d4_pipeline[4]
-        sched = g.build_cnot(2, 3, couplings)
+    def test_round_trip_unitary(self, d4_chain):
+        couplings = d4_chain.couplings
+        sched = g.build_cnot(2, 3, g.PulseContext(couplings))
         parsed = g.parse_schedule(g.serialize_schedule(sched))
         assert parsed.frame == sched.frame
         U1 = g.schedule_unitary(sched, couplings)
         U2 = g.schedule_unitary(parsed, couplings)
         assert np.allclose(U1, U2, atol=1e-12)
 
-    def test_line_format(self, d4_pipeline):
-        couplings = d4_pipeline[4]
-        text = g.serialize_schedule(g.refocused_zz(couplings))
+    def test_line_format(self, d4_chain):
+        sched = g.refocused_zz(g.PulseContext(d4_chain.couplings))
+        text = g.serialize_schedule(sched)
         lines = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(lines) == 10  # 6 pulses + 4 free intervals
         for line in lines:
             assert re.match(r"^(PULSE \d [\d.e+-]+ [\d.e+-]+ [\d.e+-]+ [\d.e+-]+"
                             r"|FREE [\d.e+-]+)$", line)
-        free_line = next(l for l in lines if l.startswith("FREE"))
-        digits = re.sub(r"[^\d]", "", free_line.split()[1].split("e")[0])
-        assert len(digits) >= 14  # 15 significant digits requested
+        # each number parses back to the exact float it was written from
+        for line, original in zip(lines, flat_fields(sched)):
+            assert [float(x) for x in line.split()[1:]] == list(original[1:])
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -412,18 +456,14 @@ class TestSerialization:
         parsed = g.parse_schedule(text)
         assert parsed.frame == sched.frame
         assert g.serialize_schedule(parsed) == text
-        # The file keeps 15 significant digits, so parsed durations may differ
-        # in their last bits, and float64 resolves each free phase E t only to
-        # eps |E t|: under 4e-13 in the interaction frame, up to ~4e-10 for
-        # lab-frame phases near 1e5 rad at w ~ 1e7 rad/s.
-        tolerance = 1e-12 + np.finfo(float).eps * free_phase_bound(sched, couplings)
+        assert flat_fields(parsed) == flat_fields(sched)
         deviation = np.max(np.abs(g.schedule_unitary(sched, couplings)
                                   - g.schedule_unitary(parsed, couplings)))
-        assert deviation <= tolerance
+        assert deviation <= 1e-12
 
     def test_concat_frame_mismatch(self, rng):
         couplings = random_couplings(rng)
-        a = g.refocused_zz(couplings, g.LAB)
-        b = g.refocused_zz(couplings, g.INTERACTION)
+        a = g.refocused_zz(g.PulseContext(couplings, g.LAB))
+        b = g.refocused_zz(g.PulseContext(couplings, g.INTERACTION))
         with pytest.raises(ValueError):
             _ = a + b

@@ -11,10 +11,6 @@ from gradion.teleport import (correction_schedule, protocol_schedules,
 from util import haar_qubit
 
 
-def d4_couplings(d4_pipeline):
-    return d4_pipeline[4]
-
-
 class TestPrepare:
     def test_basis_input(self):
         state = g.prepare_initial(1.0, 0.0)
@@ -190,7 +186,7 @@ class TestRunIdeal:
             assert rec.outcome == forced
             assert rec.fidelity > 1 - 1e-9
 
-    def test_config_validation(self, d4_pipeline):
+    def test_config_validation(self, d4_chain):
         with pytest.raises(ValueError):
             g.ProtocolConfig(1.0, 0.5)
         with pytest.raises(ValueError):
@@ -200,10 +196,31 @@ class TestRunIdeal:
         with pytest.raises(ValueError):
             g.ProtocolConfig(1.0, 0.0, gate_mode="fancy")
 
+    @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_rabi_rejected_at_construction(self, d4_chain, mode, bad):
+        with pytest.raises(ValueError, match="Rabi frequency"):
+            g.ProtocolConfig(1.0, 0.0, gate_mode=mode, couplings=d4_chain.couplings,
+                             rabi=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_t_m_rejected_at_construction(self, d4_chain, bad):
+        with pytest.raises(ValueError, match="t_m"):
+            g.ProtocolConfig(1.0, 0.0, gate_mode="scheduled",
+                             couplings=d4_chain.couplings, t_m=bad)
+
+    def test_pulse_context_derived(self, d4_chain):
+        config = g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled",
+                                  couplings=d4_chain.couplings, t_m=1e-6, rabi=2e6)
+        ctx = config.pulses
+        assert ctx.couplings is d4_chain.couplings
+        assert (ctx.frame, ctx.t_m, ctx.rabi, ctx.commensurate) == (
+            g.INTERACTION, 1e-6, 2e6, False)
+
 
 class TestRunScheduled:
-    def test_agrees_with_ideal(self, d4_pipeline, rng):
-        couplings = d4_couplings(d4_pipeline)
+    def test_agrees_with_ideal(self, d4_chain, rng):
+        couplings = d4_chain.couplings
         for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
             a, b = haar_qubit(rng)
             ideal = g.run_teleport(g.ProtocolConfig(a, b, seed=3),
@@ -219,21 +236,21 @@ class TestRunScheduled:
             overlap = abs(np.vdot(sched.qubit3_state, ideal.qubit3_state))
             assert overlap == pytest.approx(1.0, abs=1e-9)
 
-    def test_duration_near_7_7_ms(self, d4_pipeline):
-        couplings = d4_couplings(d4_pipeline)
+    def test_duration_near_7_7_ms(self, d4_chain):
+        couplings = d4_chain.couplings
         rec = g.run_teleport(g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled",
                                               seed=1, couplings=couplings))
         assert 7.5e-3 < rec.total_duration < 7.9e-3
-        stages = protocol_schedules(couplings)
+        stages = protocol_schedules(g.PulseContext(couplings))
         expected = sum(s.total_duration for s in stages.values()) \
             + correction_schedule(rec.outcome).total_duration
         assert rec.total_duration == pytest.approx(expected, rel=1e-12)
         assert rec.stage_durations["entangle"] == pytest.approx(
             stages["entangle"].total_duration, rel=1e-12)
 
-    def test_correction_schedules_match_matrices(self, d4_pipeline, rng):
+    def test_correction_schedules_match_matrices(self, d4_chain, rng):
         from gradion.teleport import CORRECTIONS
-        couplings = d4_couplings(d4_pipeline)
+        couplings = d4_chain.couplings
         from util import phase_aligned_deviation
         for bits, (_, matrix) in CORRECTIONS.items():
             sched = correction_schedule(bits)
@@ -243,8 +260,8 @@ class TestRunScheduled:
 
 
 class TestRunIntegrated:
-    def test_close_to_ideal(self, d4_pipeline, rng):
-        couplings = d4_couplings(d4_pipeline)
+    def test_close_to_ideal(self, d4_chain, rng):
+        couplings = d4_chain.couplings
         a, b = haar_qubit(rng)
         rec = g.run_teleport(g.ProtocolConfig(a, b, gate_mode="integrated", seed=5,
                                               couplings=couplings))
@@ -252,8 +269,8 @@ class TestRunIntegrated:
         assert rec.fidelity > 1 - 5e-4
         assert rec.total_duration > 7e-3
 
-    def test_with_dephasing_returns_density(self, d4_pipeline):
-        couplings = d4_couplings(d4_pipeline)
+    def test_with_dephasing_returns_density(self, d4_chain):
+        couplings = d4_chain.couplings
         rate = 1.0 / 100e-3
         rec = g.run_teleport(
             g.ProtocolConfig(0.6, 0.8, gate_mode="integrated", seed=5,
@@ -288,10 +305,10 @@ class TestDephasing:
     (1 - exp(-rate t_m))/2, so with t_m = 0 the formulas are exact.
     """
 
-    def test_closed_form_exact_with_instant_slots(self, d4_pipeline):
-        couplings = d4_couplings(d4_pipeline)
+    def test_closed_form_exact_with_instant_slots(self, d4_chain):
+        couplings = d4_chain.couplings
         rate = 1.0 / 100e-3  # T2 = 100 ms
-        stages = protocol_schedules(couplings, t_m=0.0)
+        stages = protocol_schedules(g.PulseContext(couplings, t_m=0.0))
         free = {name: sum(i.duration for i in sched.items
                           if isinstance(i, g.FreeEvolution))
                 for name, sched in stages.items()}
@@ -314,13 +331,13 @@ class TestDephasing:
         assert rec_plus.fidelity == pytest.approx(0.5 * (1 + np.exp(-rate * tau2)),
                                                   abs=1e-10)
 
-    def test_closed_form_with_booked_slots(self, d4_pipeline):
+    def test_closed_form_with_booked_slots(self, d4_chain):
         # realistic t_m = 2.5 us: the composite-interior events perturb the
         # two-window formula by a few (rate t_m)/2 ~ 1e-5 each
-        couplings = d4_couplings(d4_pipeline)
+        couplings = d4_chain.couplings
         rate = 1.0 / 100e-3
         t_m = 2.5e-6
-        stages = protocol_schedules(couplings, t_m=t_m)
+        stages = protocol_schedules(g.PulseContext(couplings, t_m=t_m))
         tau1 = stages["entangle"].total_duration - t_m
         forced = (0, 1)
         tau2 = t_m + stages["encode"].total_duration \
@@ -341,10 +358,10 @@ class TestDephasing:
         assert rec_plus.fidelity == pytest.approx(0.5 * (1 + np.exp(-rate * tau2)),
                                                   abs=6 * rate * t_m)
 
-    def test_fidelity_drop_bounded_by_error_weight(self, d4_pipeline):
+    def test_fidelity_drop_bounded_by_error_weight(self, d4_chain):
         # every damping event flips sigma_z with weight (1 - e^{-rate tau})/2,
         # so the no-error trajectory keeps weight >= 1 - 3 rate T / 2
-        couplings = d4_couplings(d4_pipeline)
+        couplings = d4_chain.couplings
         rate = 1.0 / 100e-3
         rec = g.run_teleport(
             g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled", seed=9,
@@ -360,8 +377,8 @@ class TestDephasing:
 
 
 class TestRecord:
-    def test_json_round_trip_and_determinism(self, d4_pipeline):
-        couplings = d4_couplings(d4_pipeline)
+    def test_json_round_trip_and_determinism(self, d4_chain):
+        couplings = d4_chain.couplings
         config = g.ProtocolConfig(0.6, 0.8j, gate_mode="scheduled", seed=11,
                                   couplings=couplings)
         first = g.run_teleport(config).to_json()

@@ -1,0 +1,58 @@
+"""The benchmark's layer attribution still sees the functions it wraps.
+
+perfbench/tracing.py wraps each TRACED function wherever a gradion module
+holds a reference to it. A TRACED function that is renamed, turned into a
+method, or called other than through a module global silently drops out of
+the per-layer counters; these tests catch that.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import gradion as g
+import gradion.cli  # noqa: F401  (TRACED names cli.main)
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve_to_functions(tracing):
+    for layer, name in tracing.TRACED:
+        obj = getattr(importlib.import_module(f"gradion.{layer}"), name, None)
+        assert inspect.isfunction(obj), f"gradion.{layer}.{name}"
+
+
+def test_call_counts_of_one_chain_and_one_scheduled_run(tracing):
+    tracer = tracing.Tracer()
+    tracer.counting = True
+    tracer.install()
+    try:
+        tracer.open_root("task", 0)
+        chain = g.solve_chain(*g.preset_layout_field("table1-d4"))
+        config = g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled", seed=1,
+                                  couplings=chain.couplings)
+        g.run_teleport(config, force_outcome=(0, 0))
+        tracer.close_root()
+    finally:
+        tracer.uninstall()
+    calls = {name: n for (_root, name), n in tracer.calls.items()}
+    assert calls == {
+        "trap.solve_equilibrium": 1,
+        "trap.normal_modes": 1,
+        "couplings.compute_couplings": 1,
+        "teleport.run_teleport": 1,
+        "teleport.protocol_schedules": 1,
+        "pulses.build_cnot": 2,
+        "pulses.segment_unitary": 40,
+    }

@@ -107,13 +107,13 @@ class TestNormalModes:
         ])
         assert np.allclose(modes.D, expected, atol=1e-9)
 
-    def test_table1_d4_frequencies(self, d4_pipeline):
-        modes = d4_pipeline[3]
+    def test_table1_d4_frequencies(self, d4_chain):
+        modes = d4_chain.modes
         assert modes.nu / (g.TWO_PI * 1e6) == pytest.approx([1.32, 1.54, 1.70],
                                                             rel=0.02)
 
-    def test_hessian_matches_finite_differences(self, d4_pipeline):
-        layout, _, eq, *_ = d4_pipeline
+    def test_hessian_matches_finite_differences(self, d4_chain):
+        layout, eq = d4_chain.layout, d4_chain.equilibrium
         analytic = g.potential_hessian(layout, eq.positions)
         step = 3e-9
         fd = np.zeros((3, 3))
@@ -143,8 +143,8 @@ class TestNormalModes:
             assert np.max(np.abs(rebuilt - hessian)) < 1e-10 * np.max(np.abs(hessian))
             assert np.all(modes.nu > 0)
 
-    def test_unstable_configuration_raises(self, d4_pipeline, monkeypatch):
-        layout, _, eq, *_ = d4_pipeline
+    def test_unstable_configuration_raises(self, d4_chain, monkeypatch):
+        layout, eq = d4_chain.layout, d4_chain.equilibrium
         monkeypatch.setattr(trap, "_hessian",
                             lambda *a, **k: -np.eye(3))
         with pytest.raises(g.UnstableModesError):
