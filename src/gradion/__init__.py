@@ -22,12 +22,11 @@ from .pulses import (CommensurationError, CommensurationResult, FreeEvolution,
                      composite_z_rotation, free_evolution, hadamard_schedule,
                      parse_schedule, refocused_zz, schedule_unitary,
                      serialize_schedule, single_qubit_rotation)
-from .integrate import DriveModel, IntegrationResult, integrate_exact
+from .integrate import IntegrationResult, integrate_exact
 from .search import (CandidateEvaluation, CandidateParams, SearchResult, SearchSpace,
                      evaluate_candidate, maximize_J_linear, maximize_J_multitrap)
-from .teleport import (ProtocolConfig, TeleportRecord, bob_correct, encode_and_rotate,
-                       entangle_23, fidelity, measure_ions12, prepare_initial,
-                       run_teleport)
+from .teleport import (IDEAL_STAGES, ProtocolConfig, TeleportRecord, fidelity,
+                       measure_ions12, prepare_initial, run_teleport)
 from .presets import PRESETS, REFERENCE, layout_field, preset_layout_field
 
 __version__ = "0.1.0"

@@ -371,11 +371,11 @@ def cmd_cnot(args) -> int:
 def cmd_teleport(args) -> int:
     settings = _merge_settings(args, default_preset="table1-d4")
     couplings = _chain(settings).couplings if args.mode != "ideal" else None
-    rates = (args.dephasing_rate_hz,) * 3 if args.dephasing_rate_hz else (0.0,) * 3
     config = ProtocolConfig(
         alpha=complex(args.alpha), beta=complex(args.beta), gate_mode=args.mode,
         seed=args.seed if args.seed is not None else settings.get("seed"),
-        couplings=couplings, dephasing=rates, **_pulse_timing(settings))
+        couplings=couplings, dephasing=(args.dephasing_rate_hz,) * 3,
+        **_pulse_timing(settings))
     _write(args, run_teleport(config).to_json() + "\n")
     return 0
 

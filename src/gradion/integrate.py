@@ -6,11 +6,12 @@ and during pulses the co-rotating drive
 
     H_drive = -(Omega/2) (e^{-i phi} sigma_+ + e^{i phi} sigma_-)
 
-on the addressed ion, optionally plus the spin-spin terms the ideal model
-ignores while pulsing. A constant Hermitian H = V diag(E) V^dagger has the
-closed-form propagator V exp(-i E t) V^dagger, so each segment is exact up
-to float round-off and no step size enters. Interaction frame only; the
-counter-rotating lab-frame problem at qubit frequency is out of scope.
+on the addressed ion plus the spin-spin terms, which are always on: the
+ideal model drops them while pulsing, the propagator never does. A
+constant Hermitian H = V diag(E) V^dagger has the closed-form propagator
+V exp(-i E t) V^dagger, so each segment is exact up to float round-off and
+no step size enters. Interaction frame only; the counter-rotating
+lab-frame problem at qubit frequency is out of scope.
 """
 
 from __future__ import annotations
@@ -23,18 +24,6 @@ from .couplings import CouplingSet
 from .operators import embed
 from .pulses import (INTERACTION, FreeEvolution, PulseSchedule, PulseSlot,
                      SpinState, apply_schedule, spin_energies)
-
-
-@dataclass(frozen=True)
-class DriveModel:
-    """What the propagator includes beyond the ideal segment model.
-
-    include_ising
-        Keep the spin-spin terms active during pulses (the ideal model drops
-        them there). Setting False makes pulse segments exactly single-qubit.
-    """
-
-    include_ising: bool = True
 
 
 @dataclass(frozen=True)
@@ -56,18 +45,19 @@ def _drive_hamiltonian(slot: PulseSlot) -> tuple[np.ndarray, float]:
     return H, durations.pop()
 
 
-def segment_hamiltonians(schedule: PulseSchedule, couplings: CouplingSet,
-                         drive: DriveModel):
-    """(hamiltonian, physical duration) per segment, in order."""
+def segment_hamiltonians(schedule: PulseSchedule, couplings: CouplingSet):
+    """(hamiltonian, physical duration) per segment, in order.
+
+    Pulse segments carry the spin-spin terms too; pass couplings with
+    J = J13 = 0 for exactly single-qubit pulses.
+    """
     h_spin = np.diag(spin_energies(couplings, schedule.frame)).astype(complex)
     for item in schedule.items:
         if isinstance(item, FreeEvolution):
             yield h_spin, item.duration
         else:
             h_drive, duration = _drive_hamiltonian(item)
-            if drive.include_ising:
-                h_drive = h_drive + h_spin
-            yield h_drive, duration
+            yield h_drive + h_spin, duration
 
 
 def integrate_segment_unitary(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
@@ -76,16 +66,15 @@ def integrate_segment_unitary(hamiltonian: np.ndarray, duration: float) -> np.nd
     return (vectors * np.exp(-1j * energies * duration)) @ vectors.conj().T
 
 
-def integrate_exact(state: SpinState, schedule: PulseSchedule, couplings: CouplingSet,
-                    drive: DriveModel | None = None) -> IntegrationResult:
+def integrate_exact(state: SpinState, schedule: PulseSchedule,
+                    couplings: CouplingSet) -> IntegrationResult:
     """Propagate the schedule exactly and report fidelity against the ideal model."""
     if schedule.frame != INTERACTION:
         raise ValueError("the integrator works in the interaction frame only")
     if state.frame != schedule.frame:
         raise ValueError("state and schedule frames differ")
     psi = state.amplitudes
-    for hamiltonian, duration in segment_hamiltonians(schedule, couplings,
-                                                      drive or DriveModel()):
+    for hamiltonian, duration in segment_hamiltonians(schedule, couplings):
         psi = integrate_segment_unitary(hamiltonian, duration) @ psi
     drift = abs(np.linalg.norm(psi) - 1.0)
     ideal = apply_schedule(state, schedule, couplings)

@@ -29,18 +29,6 @@ def pauli_z(ion: int) -> np.ndarray:
     return embed(SIGMA_Z, ion)
 
 
-def spin_hamiltonian_matrix(w, J: float, J13: float) -> np.ndarray:
-    """Spin Hamiltonian as an explicit (diagonal) 8x8 matrix.
-
-    H = sum_i w_i sigma_z_i / 2 - J sz1 sz2 / 2 - J sz2 sz3 / 2 - J13 sz1 sz3 / 2.
-    Used as a cross-check against the closed-form spectrum.
-    """
-    z1, z2, z3 = pauli_z(1), pauli_z(2), pauli_z(3)
-    return (0.5 * (w[0] * z1 + w[1] * z2 + w[2] * z3)
-            - 0.5 * J * (z1 @ z2 + z2 @ z3)
-            - 0.5 * J13 * (z1 @ z3))
-
-
 def cnot_matrix(control: int, target: int) -> np.ndarray:
     """Canonical CNOT permutation: flips the target bit when the control bit is 1."""
     if control == target or control not in (1, 2, 3) or target not in (1, 2, 3):
@@ -56,15 +44,6 @@ def cnot_matrix(control: int, target: int) -> np.ndarray:
 def hadamard_matrix(ion: int) -> np.ndarray:
     """Hadamard on one ion: |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2."""
     return embed(HADAMARD_2, ion)
-
-
-def projector_12(b1: int, b2: int) -> np.ndarray:
-    """Projector |b1 b2><b1 b2| on ions 1, 2 (identity on ion 3)."""
-    P = np.zeros((8, 8), dtype=complex)
-    for b3 in (0, 1):
-        idx = (b1 << 2) | (b2 << 1) | b3
-        P[idx, idx] = 1.0
-    return P
 
 
 def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

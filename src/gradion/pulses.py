@@ -81,9 +81,6 @@ class SpinState:
         amps = amps / np.linalg.norm(amps)
         return cls(amps, frame)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class Pulse:
@@ -115,8 +112,8 @@ class PulseSlot:
         ions = [p.ion for p in self.pulses]
         if len(set(ions)) != len(ions):
             raise ValueError("simultaneous pulses must target distinct ions")
-        if self.duration < 0.0:
-            raise ValueError("slot duration must be non-negative")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValueError("slot duration must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,8 @@ class FreeEvolution:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.duration < 0.0:
-            raise ValueError("free evolution duration must be non-negative")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValueError("free evolution duration must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -430,6 +427,8 @@ def parse_schedule(text: str) -> PulseSchedule:
                 if ion not in (1, 2, 3):
                     raise ValueError(f"ion index must be 1, 2, or 3, got {ion}")
                 theta, phi, rabi, dur = map(float, fields[2:])
+                if not all(map(math.isfinite, (theta, phi, rabi))):
+                    raise ValueError("theta, phi and rabi must be finite")
                 items.append(PulseSlot((Pulse(ion, theta, phi, rabi, dur),), dur))
             else:
                 raise ValueError("unrecognized segment")

@@ -8,28 +8,30 @@ probability 1/4 and leave ion 3 one Pauli away from the input:
 
     outcome 00 -> sigma_x, 01 -> identity, 10 -> i sigma_y, 11 -> sigma_z.
 
-Gate modes: "ideal" applies exact gate matrices (zero duration);
-"scheduled" composes the microwave pulse schedules segment by segment;
+One stage runner serves all three gate modes: the stages entangle,
+encode and rotate, the measurement of ions 1,2, then the correct stage. A
+stage is a sequence of (unitary, wall-clock duration) steps. In "ideal"
+mode it is one exact gate matrix of zero duration (`IDEAL_STAGES`);
+"scheduled" takes the stage's pulse schedule segment by segment;
 "integrated" replaces each segment unitary with the exact propagator of its
 constant Hamiltonian, spin-spin terms kept active during pulses. Both build
 their stage schedules from the config's derived `PulseContext`.
-Optional per-qubit dephasing (phase damping applied after every schedule
-segment, scaled by the segment's wall-clock duration) switches the run to
-density-matrix propagation; it requires a mode with durations, so "ideal"
-rejects nonzero rates.
+Optional per-qubit dephasing (phase damping applied after every step,
+scaled by its wall-clock duration) makes the register a density matrix;
+it requires a mode with durations, so "ideal" rejects nonzero rates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .couplings import CouplingSet
-from .integrate import DriveModel, integrate_segment_unitary, segment_hamiltonians
-from .operators import (cnot_matrix, embed, hadamard_matrix, pauli_z,
-                        projector_12, reduced_density)
+from .integrate import integrate_segment_unitary, segment_hamiltonians
+from .operators import cnot_matrix, embed, hadamard_matrix, pauli_z, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
                      hadamard_schedule, segment_unitary)
@@ -45,6 +47,16 @@ CORRECTIONS = {
     (1, 0): ("i_sigma_y", np.array([[0, 1], [-1, 0]], dtype=complex)),
     (1, 1): ("sigma_z", np.array([[-1, 0], [0, 1]], dtype=complex)),
 }
+
+#: the coherent stages as exact gates; the ideal correction stage is
+#: ``embed(CORRECTIONS[bits][1], 3)``
+IDEAL_STAGES = {
+    "entangle": cnot_matrix(2, 3),
+    "encode": cnot_matrix(1, 2),
+    "rotate": hadamard_matrix(1),
+}
+
+_PAULI_Z = tuple(pauli_z(ion) for ion in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -77,8 +89,8 @@ class ProtocolConfig:
         if np.isscalar(rates):
             rates = (float(rates),) * 3
         rates = tuple(float(r) for r in rates)
-        if len(rates) != 3 or any(r < 0.0 for r in rates):
-            raise ValueError("dephasing needs three non-negative rates")
+        if len(rates) != 3 or not all(math.isfinite(r) and r >= 0.0 for r in rates):
+            raise ValueError("dephasing needs three finite, non-negative rates")
         object.__setattr__(self, "dephasing", rates)
         if self.gate_mode == "ideal" and any(r > 0.0 for r in rates):
             raise ValueError("dephasing needs schedule durations; use scheduled or "
@@ -135,27 +147,15 @@ class TeleportRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-# -- algebraic protocol steps (ideal gates) ---------------------------------
+# -- protocol steps ---------------------------------------------------------
 
-def prepare_initial(alpha: complex, beta: complex,
-                    frame: str = INTERACTION) -> SpinState:
+def prepare_initial(alpha: complex, beta: complex) -> SpinState:
     """(alpha |0> + beta |1>) x (|0> + |1>)/sqrt2 x |1>."""
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     return SpinState.product([alpha, beta],
                              [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
-                             [0.0, 1.0], frame)
-
-
-def entangle_23(state: SpinState) -> SpinState:
-    """Ideal CNOT(2,3): leaves ions 2,3 in (|01> + |10>)/sqrt2."""
-    return SpinState(cnot_matrix(2, 3) @ state.amplitudes, state.frame)
-
-
-def encode_and_rotate(state: SpinState) -> SpinState:
-    """Ideal CNOT(1,2) followed by the Hadamard on ion 1."""
-    amps = hadamard_matrix(1) @ (cnot_matrix(1, 2) @ state.amplitudes)
-    return SpinState(amps, state.frame)
+                             [0.0, 1.0])
 
 
 def measure_ions12(state: SpinState, rng: np.random.Generator,
@@ -166,32 +166,9 @@ def measure_ions12(state: SpinState, rng: np.random.Generator,
     Samples one of the four outcomes from the state (or takes ``force``),
     collapses, renormalizes, and returns (bits, collapsed state, probability).
     """
-    tensor = state.amplitudes.reshape(2, 2, 2)
-    probs = np.sum(np.abs(tensor) ** 2, axis=2).reshape(4)
-    if force is not None:
-        k = 2 * force[0] + force[1]
-    else:
-        k = int(rng.choice(4, p=probs / probs.sum()))
-    b1, b2 = k >> 1, k & 1
-    p = float(probs[k])
-    if p <= 0.0:
-        raise ValueError(f"outcome {b1}{b2} has zero probability")
-    collapsed = np.zeros((2, 2, 2), dtype=complex)
-    collapsed[b1, b2] = tensor[b1, b2] / np.sqrt(p)
-    return (b1, b2), SpinState(collapsed.reshape(8), state.frame), p
-
-
-def bob_correct(state: SpinState, bits: tuple[int, int]) -> SpinState:
-    """Apply the outcome's correction on ion 3 (ideal matrix)."""
-    if bits not in CORRECTIONS:
-        raise ValueError(f"invalid measurement bits {bits!r}")
-    _, op = CORRECTIONS[bits]
-    return SpinState(embed(op, 3) @ state.amplitudes, state.frame)
-
-
-def qubit3_amplitudes(state: SpinState, bits: tuple[int, int]) -> np.ndarray:
-    """Ion-3 amplitudes of a post-measurement product state."""
-    return state.amplitudes.reshape(2, 2, 2)[bits[0], bits[1]].copy()
+    register = _Register(state.amplitudes)
+    bits, p = register.measure(rng, force)
+    return bits, SpinState(register.state, state.frame), p
 
 
 def fidelity(output, alpha: complex, beta: complex) -> float:
@@ -229,47 +206,80 @@ def protocol_schedules(ctx: PulseContext) -> dict:
     }
 
 
-class _DensityTracker:
-    """8x8 density-matrix propagation with per-qubit phase damping."""
+# -- stage runner -----------------------------------------------------------
 
-    def __init__(self, state: SpinState, rates):
-        self.rho = np.outer(state.amplitudes, state.amplitudes.conj())
+class _Register:
+    """The three ions' state: 8 amplitudes, or an 8x8 density matrix with
+    per-qubit phase damping when any dephasing rate is positive."""
+
+    def __init__(self, amplitudes: np.ndarray, rates=(0.0, 0.0, 0.0)):
         self.rates = rates
-        self.z_ops = [pauli_z(q) for q in (1, 2, 3)]
+        self.mixed = any(r > 0.0 for r in rates)
+        self.state = (np.outer(amplitudes, amplitudes.conj()) if self.mixed
+                      else amplitudes)
 
-    def unitary(self, U: np.ndarray) -> None:
-        self.rho = U @ self.rho @ U.conj().T
+    def evolve(self, U: np.ndarray, wall: float) -> None:
+        """Apply U, then (density matrix only) ``wall`` seconds of phase damping."""
+        if not self.mixed:
+            self.state = U @ self.state
+            return
+        rho = U @ self.state @ U.conj().T
+        for z, rate in zip(_PAULI_Z, self.rates):
+            if rate > 0.0 and wall > 0.0:
+                keep = 0.5 * (1.0 + np.exp(-rate * wall))
+                rho = keep * rho + (1.0 - keep) * (z @ rho @ z)
+        self.state = rho
 
-    def dephase(self, duration: float) -> None:
-        for q, rate in enumerate(self.rates):
-            if rate <= 0.0 or duration <= 0.0:
-                continue
-            keep = 0.5 * (1.0 + np.exp(-rate * duration))
-            z = self.z_ops[q]
-            self.rho = keep * self.rho + (1.0 - keep) * (z @ self.rho @ z)
-
-    def measure(self, rng, force):
-        probs = np.array([np.real(np.trace(projector_12(b >> 1, b & 1) @ self.rho))
-                          for b in range(4)])
-        k = 2 * force[0] + force[1] if force is not None else int(
-            rng.choice(4, p=probs / probs.sum()))
+    def measure(self, rng: np.random.Generator,
+                force: tuple[int, int] | None = None) -> tuple[tuple[int, int], float]:
+        """Sample (or force) the ions-1,2 outcome, collapse onto it, return (bits, p)."""
+        if force is not None and force not in CORRECTIONS:
+            raise ValueError(f"forced outcome must be one of {tuple(CORRECTIONS)}, "
+                             f"got {force!r}")
+        weights = np.real(np.diagonal(self.state)) if self.mixed \
+            else np.abs(self.state) ** 2
+        probs = weights.reshape(4, 2).sum(axis=1)
+        if force is not None:
+            k = 2 * int(force[0]) + int(force[1])
+        else:
+            k = int(rng.choice(4, p=probs / probs.sum()))
         p = float(probs[k])
         if p <= 0.0:
-            raise ValueError("sampled outcome has zero probability")
-        proj = projector_12(k >> 1, k & 1)
-        self.rho = proj @ self.rho @ proj / p
+            raise ValueError(f"outcome {k >> 1}{k & 1} has zero probability")
+        block = slice(2 * k, 2 * k + 2)
+        collapsed = np.zeros_like(self.state)
+        if self.mixed:
+            collapsed[block, block] = self.state[block, block] / p
+        else:
+            collapsed[block] = self.state[block] / np.sqrt(p)
+        self.state = collapsed
         return (k >> 1, k & 1), p
 
+    def qubit3(self, bits: tuple[int, int]) -> np.ndarray:
+        """Ion-3 amplitudes of the collapsed state, or ion 3's density matrix."""
+        if self.mixed:
+            return reduced_density(self.state, (3,))
+        return self.state.reshape(2, 2, 2)[bits].copy()
 
-def _segment_unitaries(schedule: PulseSchedule, couplings: CouplingSet, mode: str):
-    """(unitary, wall-clock duration) per segment under the chosen gate model."""
-    if mode == "integrated":
-        hams = segment_hamiltonians(schedule, couplings, DriveModel())
-        for item, (H, physical) in zip(schedule.items, hams):
+
+def _steps(stage, config: ProtocolConfig):
+    """(unitary, wall-clock duration) per step of a stage in the config's gate mode."""
+    if config.gate_mode == "ideal":
+        yield stage, 0.0
+    elif config.gate_mode == "integrated":
+        hams = segment_hamiltonians(stage, config.couplings)
+        for item, (H, physical) in zip(stage.items, hams):
             yield integrate_segment_unitary(H, physical), item.duration
     else:
-        for item in schedule.items:
-            yield segment_unitary(item, couplings, schedule.frame), item.duration
+        for item in stage.items:
+            yield segment_unitary(item, config.couplings, stage.frame), item.duration
+
+
+def _run_stage(register: _Register, stage, config: ProtocolConfig) -> float:
+    """Evolve the register through one stage; return the stage's duration."""
+    for U, wall in _steps(stage, config):
+        register.evolve(U, wall)
+    return 0.0 if config.gate_mode == "ideal" else stage.total_duration
 
 
 def run_teleport(config: ProtocolConfig,
@@ -280,65 +290,24 @@ def run_teleport(config: ProtocolConfig,
     (alpha, beta). With a fixed seed the run is fully deterministic.
     """
     rng = np.random.default_rng(config.seed)
-    state = prepare_initial(config.alpha, config.beta)
-    noisy = any(r > 0.0 for r in config.dephasing)
+    ideal = config.gate_mode == "ideal"
+    stages = IDEAL_STAGES if ideal else protocol_schedules(config.pulses)
+    register = _Register(prepare_initial(config.alpha, config.beta).amplitudes,
+                         config.dephasing)
     durations: dict[str, float] = {"prepare": 0.0}
-
-    if config.gate_mode == "ideal":
-        state = entangle_23(state)
-        state = encode_and_rotate(state)
-        durations.update(entangle=0.0, encode=0.0, rotate=0.0, correct=0.0)
-        bits, collapsed, prob = measure_ions12(state, rng, force_outcome)
-        corrected = bob_correct(collapsed, bits)
-        out = qubit3_amplitudes(corrected, bits)
-        return TeleportRecord(
-            outcome=bits, correction=CORRECTIONS[bits][0],
-            fidelity=fidelity(out, config.alpha, config.beta),
-            outcome_probability=prob, total_duration=0.0,
-            stage_durations=durations, seed=config.seed,
-            gate_mode=config.gate_mode, alpha=config.alpha, beta=config.beta,
-            dephasing=config.dephasing, qubit3_state=out)
-
-    stages = protocol_schedules(config.pulses)
-    tracker = _DensityTracker(state, config.dephasing) if noisy else None
-    amps = state.amplitudes
-
-    def run_stage(name: str, schedule: PulseSchedule):
-        nonlocal amps
-        durations[name] = schedule.total_duration
-        for U, wall in _segment_unitaries(schedule, config.couplings,
-                                          config.gate_mode):
-            if tracker is not None:
-                tracker.unitary(U)
-                tracker.dephase(wall)
-            else:
-                amps = U @ amps
-
     for name in ("entangle", "encode", "rotate"):
-        run_stage(name, stages[name])
-
-    if tracker is not None:
-        bits, prob = tracker.measure(rng, force_outcome)
-    else:
-        bits, collapsed, prob = measure_ions12(
-            SpinState(amps, INTERACTION), rng, force_outcome)
-        amps = collapsed.amplitudes
-
-    run_stage("correct", correction_schedule(bits, config.pulses))
-
-    if tracker is not None:
-        rho3 = reduced_density(tracker.rho, (3,))
-        fid = fidelity(rho3, config.alpha, config.beta)
-        out_state, out_density = None, rho3
-    else:
-        out = qubit3_amplitudes(SpinState(amps, INTERACTION), bits)
-        fid = fidelity(out, config.alpha, config.beta)
-        out_state, out_density = out, None
-
+        durations[name] = _run_stage(register, stages[name], config)
+    bits, prob = register.measure(rng, force_outcome)
+    correction = (embed(CORRECTIONS[bits][1], 3) if ideal
+                  else correction_schedule(bits, config.pulses))
+    durations["correct"] = _run_stage(register, correction, config)
+    out = register.qubit3(bits)
     return TeleportRecord(
-        outcome=bits, correction=CORRECTIONS[bits][0], fidelity=fid,
+        outcome=bits, correction=CORRECTIONS[bits][0],
+        fidelity=fidelity(out, config.alpha, config.beta),
         outcome_probability=prob,
         total_duration=float(sum(durations.values())),
         stage_durations=durations, seed=config.seed, gate_mode=config.gate_mode,
         alpha=config.alpha, beta=config.beta, dephasing=config.dephasing,
-        qubit3_state=out_state, qubit3_density=out_density)
+        qubit3_state=None if register.mixed else out,
+        qubit3_density=out if register.mixed else None)

@@ -8,18 +8,20 @@ lives in tests/.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .constants import TWO_PI
 from .couplings import (CouplingSet, FieldConfig, heating_time_scaled,
                         neighbor_resonance_shift, solve_chain)
-from .integrate import DriveModel, integrate_exact
+from .integrate import integrate_exact
 from .operators import cnot_matrix, deviation_up_to_phase, max_unitarity_defect
 from .presets import PRESETS, REFERENCE, preset_layout_field
 from .pulses import (FreeEvolution, INTERACTION, LAB, PulseContext, PulseSchedule,
                      SpinState, build_cnot, refocused_zz, schedule_unitary,
                      single_qubit_rotation)
-from .teleport import ProtocolConfig, run_teleport
+from .teleport import IDEAL_STAGES, ProtocolConfig, prepare_initial, run_teleport
 from .trap import (TrapLayout, linear_frequency_for_spacing, potential_hessian,
                    total_potential)
 
@@ -132,12 +134,13 @@ def check_ideal_teleport():
 def check_branch_probabilities():
     rng = np.random.default_rng(14)
     worst = 0.0
-    from .teleport import encode_and_rotate, entangle_23, prepare_initial
     for _ in range(50):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v /= np.linalg.norm(v)
-        state = encode_and_rotate(entangle_23(prepare_initial(v[0], v[1])))
-        probs = np.sum(np.abs(state.amplitudes.reshape(4, 2)) ** 2, axis=1)
+        amps = prepare_initial(v[0], v[1]).amplitudes
+        for gate in IDEAL_STAGES.values():
+            amps = gate @ amps
+        probs = np.sum(np.abs(amps.reshape(4, 2)) ** 2, axis=1)
         worst = max(worst, float(np.max(np.abs(probs - 0.25))))
     return "outcome probabilities are 1/4", worst < 1e-12, f"max |p-1/4| {worst:.2e}"
 
@@ -177,7 +180,7 @@ def check_integrator():
     c = _d4_chain().couplings
     sched = PulseSchedule(build_cnot(2, 3, PulseContext(c)).items[:1], INTERACTION)
     state = SpinState.product([1, 1], [1, -1], [1, 1j])
-    res = integrate_exact(state, sched, c, DriveModel(include_ising=False))
+    res = integrate_exact(state, sched, replace(c, J=0.0, J13=0.0))
     ideal = single_qubit_rotation(3, np.pi / 2, np.pi / 2) @ state.amplitudes
     err = np.linalg.norm(res.state.amplitudes - ideal)
     return "integrator matches ideal pulses", err < 1e-8, f"state error {err:.2e}"

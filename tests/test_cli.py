@@ -222,6 +222,14 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "amplitudes" in err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_bad_dephasing_rate_is_1(self, capsys, rate):
+        code, out, err = run_cli(capsys, ["teleport", "--mode", "scheduled", "--seed", "1",
+                                          "--dephasing-rate-hz", rate])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite, non-negative rates" in err
+
     @pytest.mark.parametrize("argv", [["cnot"], ["teleport", "--mode", "scheduled"]])
     def test_zero_rabi_is_1_without_traceback(self, tmp_path, argv):
         config = tmp_path / "rabi.cfg"

@@ -448,6 +448,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="schedule line 2: ion index"):
             g.parse_schedule(f"FREE 1e-3\nPULSE {ion} 3.14 0 6.28e6 5e-7\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("FREE nan", "free evolution duration must be finite"),
+        ("FREE inf", "free evolution duration must be finite"),
+        ("PULSE 2 3.14 0 6.28e6 nan", "slot duration must be finite"),
+        ("PULSE 2 3.14 0 6.28e6 inf", "slot duration must be finite"),
+        ("PULSE 2 inf 0 6.28e6 5e-7", "theta, phi and rabi must be finite"),
+        ("PULSE 2 3.14 nan 6.28e6 5e-7", "theta, phi and rabi must be finite"),
+        ("PULSE 2 3.14 0 -inf 5e-7", "theta, phi and rabi must be finite"),
+    ], ids=["free-nan", "free-inf", "slot-nan", "slot-inf", "theta-inf", "phi-nan",
+            "rabi-inf"])
+    def test_non_finite_rejected_at_parse(self, line, message):
+        with pytest.raises(ValueError, match=f"schedule line 2: {message}"):
+            g.parse_schedule(f"FREE 1e-3\n{line}\n")
+
     @settings(max_examples=100, deadline=None)
     @given(drawn=random_gate_schedules())
     def test_round_trip_property(self, drawn):

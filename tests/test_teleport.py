@@ -1,14 +1,24 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradion as g
-from gradion.operators import reduced_density
-from gradion.teleport import (correction_schedule, protocol_schedules,
-                              qubit3_amplitudes)
+from gradion.operators import embed, reduced_density
+from gradion.pulses import spin_energies
+from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
 
 from util import haar_qubit
+
+
+def ideal_stages(state, names=("entangle", "encode", "rotate")):
+    """Apply the named exact gates of ``g.IDEAL_STAGES`` in order."""
+    amps = state.amplitudes
+    for name in names:
+        amps = g.IDEAL_STAGES[name] @ amps
+    return g.SpinState(amps, state.frame)
 
 
 class TestPrepare:
@@ -36,21 +46,21 @@ class TestPrepare:
 class TestEntangle:
     def test_matches_bell_expansion(self, rng):
         a, b = haar_qubit(rng)
-        state = g.entangle_23(g.prepare_initial(a, b))
+        state = ideal_stages(g.prepare_initial(a, b), ("entangle",))
         expected = np.kron([a, b], np.kron([1, 0], [0, 1])
                            + np.kron([0, 1], [1, 0])) / np.sqrt(2)
         assert np.max(np.abs(state.amplitudes - expected)) < 1e-9
 
     def test_bell_pair_purity(self, rng):
         a, b = haar_qubit(rng)
-        state = g.entangle_23(g.prepare_initial(a, b))
+        state = ideal_stages(g.prepare_initial(a, b), ("entangle",))
         rho23 = reduced_density(state.amplitudes, (2, 3))
         bell = (np.kron([1, 0], [0, 1]) + np.kron([0, 1], [1, 0])) / np.sqrt(2)
         assert np.real(np.trace(rho23 @ rho23)) == pytest.approx(1.0, abs=1e-12)
         assert np.real(bell @ rho23 @ bell) == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_one_leaves_qubit1_in_zero(self):
-        state = g.entangle_23(g.prepare_initial(1.0, 0.0))
+        state = ideal_stages(g.prepare_initial(1.0, 0.0), ("entangle",))
         assert np.linalg.norm(state.amplitudes[4:]) < 1e-14
 
 
@@ -58,13 +68,13 @@ class TestEncodeAndRotate:
     def test_branch_probabilities_quarter(self, rng):
         for _ in range(25):
             a, b = haar_qubit(rng)
-            state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(a, b)))
+            state = ideal_stages(g.prepare_initial(a, b))
             probs = np.sum(np.abs(state.amplitudes.reshape(4, 2)) ** 2, axis=1)
             assert np.max(np.abs(probs - 0.25)) < 1e-12
 
     def test_branch_states(self, rng):
         a, b = haar_qubit(rng)
-        state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(a, b)))
+        state = ideal_stages(g.prepare_initial(a, b))
         tensor = state.amplitudes.reshape(4, 2) * 2.0  # each branch carries 1/2
         # outcome 01 already holds the input state
         assert np.allclose(tensor[1], [a, b], atol=1e-12)
@@ -76,7 +86,7 @@ class TestEncodeAndRotate:
         assert np.allclose(tensor[3], [a, -b], atol=1e-12)
 
     def test_basis_input_branch_states(self):
-        state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(1.0, 0.0)))
+        state = ideal_stages(g.prepare_initial(1.0, 0.0))
         tensor = state.amplitudes.reshape(4, 2) * 2.0
         expected = [[0, 1], [1, 0], [0, 1], [1, 0]]  # |1>,|0>,|1>,|0>
         assert np.allclose(tensor, expected, atol=1e-12)
@@ -90,7 +100,7 @@ class TestEncodeAndRotate:
         # what the computational-basis measurement erases.
         for _ in range(10):
             a, b = haar_qubit(rng)
-            state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(a, b)))
+            state = ideal_stages(g.prepare_initial(a, b))
             rho12 = reduced_density(state.amplitudes, (1, 2))
             assert np.max(np.abs(np.diag(rho12) - 0.25)) < 1e-10
             rho3 = reduced_density(state.amplitudes, (3,))
@@ -100,7 +110,7 @@ class TestEncodeAndRotate:
 class TestMeasurement:
     def test_quarter_probabilities(self, rng):
         a, b = haar_qubit(rng)
-        state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(a, b)))
+        state = ideal_stages(g.prepare_initial(a, b))
         for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
             bits, collapsed, p = g.measure_ions12(state, rng, force=forced)
             assert bits == forced
@@ -116,7 +126,7 @@ class TestMeasurement:
 
     def test_sampling_statistics(self):
         rng = np.random.default_rng(7)
-        state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(0.6, 0.8j)))
+        state = ideal_stages(g.prepare_initial(0.6, 0.8j))
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
@@ -126,7 +136,7 @@ class TestMeasurement:
         assert np.all(np.abs(counts - n / 4) < 4 * sigma)
 
     def test_seeded_determinism(self):
-        state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(0.6, 0.8)))
+        state = ideal_stages(g.prepare_initial(0.6, 0.8))
         runs = [g.measure_ions12(state, np.random.default_rng(123))[0]
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
@@ -135,17 +145,16 @@ class TestMeasurement:
 class TestCorrections:
     def test_each_branch_restored(self, rng):
         a, b = haar_qubit(rng)
-        state = g.encode_and_rotate(g.entangle_23(g.prepare_initial(a, b)))
+        state = ideal_stages(g.prepare_initial(a, b))
         for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
             bits, collapsed, _ = g.measure_ions12(state, rng, force=forced)
-            corrected = g.bob_correct(collapsed, bits)
-            out = qubit3_amplitudes(corrected, bits)
+            corrected = embed(CORRECTIONS[bits][1], 3) @ collapsed.amplitudes
+            out = corrected.reshape(2, 2, 2)[bits]
             assert g.fidelity(out, a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_correction_matrices(self):
         # sigma_x on alpha|1>+beta|0>;  i sigma_y = [[0,1],[-1,0]] on
         # alpha|1>-beta|0>; both return alpha|0>+beta|1> exactly
-        from gradion.teleport import CORRECTIONS
         a, b = 0.6, 0.8j
         assert np.allclose(CORRECTIONS[(0, 0)][1] @ [b, a], [a, b])
         assert np.allclose(CORRECTIONS[(1, 0)][1] @ [-b, a], [a, b])
@@ -155,9 +164,13 @@ class TestCorrections:
         assert g.fidelity(out, a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_bits_rejected(self, rng):
-        state = g.prepare_initial(1.0, 0.0)
-        with pytest.raises(ValueError):
-            g.bob_correct(state, (2, 0))
+        # k = 2 b1 + b2 must not map (0, 2) to 10 or (1, -1) to 01, nor index past 11
+        state = ideal_stages(g.prepare_initial(1.0, 0.0))
+        for bits in ((0, 2), (1, -1), (2, 0)):
+            with pytest.raises(ValueError, match="forced outcome"):
+                g.run_teleport(g.ProtocolConfig(1.0, 0.0, seed=0), force_outcome=bits)
+            with pytest.raises(ValueError, match="forced outcome"):
+                g.measure_ions12(state, rng, force=bits)
 
 
 class TestFidelity:
@@ -195,6 +208,14 @@ class TestRunIdeal:
             g.ProtocolConfig(1.0, 0.0, dephasing=(0.0, 0.0, 10.0))  # ideal mode
         with pytest.raises(ValueError):
             g.ProtocolConfig(1.0, 0.0, gate_mode="fancy")
+
+    @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0,
+                                     (0.0, np.nan, 0.0), (np.inf, 0.0, 0.0)])
+    def test_bad_dephasing_rejected_at_construction(self, d4_chain, mode, bad):
+        with pytest.raises(ValueError, match="three finite, non-negative rates"):
+            g.ProtocolConfig(1.0, 0.0, gate_mode=mode, couplings=d4_chain.couplings,
+                             dephasing=bad)
 
     @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -249,7 +270,6 @@ class TestRunScheduled:
             stages["entangle"].total_duration, rel=1e-12)
 
     def test_correction_schedules_match_matrices(self, d4_chain, rng):
-        from gradion.teleport import CORRECTIONS
         couplings = d4_chain.couplings
         from util import phase_aligned_deviation
         for bits, (_, matrix) in CORRECTIONS.items():
@@ -392,3 +412,72 @@ class TestRecord:
         assert payload["config"]["alpha"] == [0.6, 0.0]
         assert set(payload["stage_durations_s"]) == {
             "prepare", "entangle", "encode", "rotate", "correct"}
+
+
+@lru_cache(maxsize=None)
+def preset_couplings(name):
+    return g.solve_chain(*g.preset_layout_field(name)).couplings
+
+
+@st.composite
+def protocol_inputs(draw):
+    """A Haar-random input qubit, a preset coupling set and a run seed."""
+    a, b = haar_qubit(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    couplings = preset_couplings(draw(st.sampled_from(sorted(g.PRESETS))))
+    return complex(a), complex(b), couplings, draw(st.integers(0, 2**31 - 1))
+
+
+class TestRunnerProperties:
+    """Invariants of the one stage runner, in every gate mode."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(inputs=protocol_inputs(), mode=st.sampled_from(("ideal", "scheduled")))
+    def test_every_outcome_has_probability_quarter(self, inputs, mode):
+        a, b, couplings, seed = inputs
+        config = g.ProtocolConfig(a, b, gate_mode=mode, seed=seed,
+                                  couplings=None if mode == "ideal" else couplings)
+        for forced in CORRECTIONS:
+            rec = g.run_teleport(config, force_outcome=forced)
+            assert rec.outcome == forced
+            assert rec.outcome_probability == pytest.approx(0.25, abs=1e-9)
+            assert rec.fidelity >= 1 - 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(inputs=protocol_inputs())
+    def test_integrated_probabilities_within_pulse_ising_bound(self, inputs):
+        # The spin-spin terms stay on during pulses, so the branch weights
+        # move off 1/4 (by ~5e-3 at table1-d4). Dropping H_spin from a pulse
+        # of length t moves the state by at most |H_spin| t, and a branch
+        # weight by at most twice the state's move.
+        a, b, couplings, seed = inputs
+        config = g.ProtocolConfig(a, b, gate_mode="integrated", seed=seed,
+                                  couplings=couplings)
+        pulse_time = sum(max(p.duration for p in item.pulses)
+                         for sched in protocol_schedules(config.pulses).values()
+                         for item in sched.items if isinstance(item, g.PulseSlot))
+        h_spin = np.max(np.abs(spin_energies(couplings, g.INTERACTION)))
+        probs = []
+        for forced in CORRECTIONS:
+            rec = g.run_teleport(config, force_outcome=forced)
+            assert rec.outcome == forced
+            probs.append(rec.outcome_probability)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+        assert max(abs(p - 0.25) for p in probs) <= 2 * h_spin * pulse_time
+
+    @settings(max_examples=25, deadline=None)
+    @given(inputs=protocol_inputs(), mode=st.sampled_from(("scheduled", "integrated")))
+    def test_density_and_pure_paths_agree_at_vanishing_dephasing(self, inputs, mode):
+        # a rate of 1e-300 keeps the density-matrix path but damps by exactly 1
+        a, b, couplings, seed = inputs
+        for forced in CORRECTIONS:
+            pure, mixed = (g.run_teleport(
+                g.ProtocolConfig(a, b, gate_mode=mode, seed=seed, couplings=couplings,
+                                 dephasing=rate), force_outcome=forced)
+                for rate in (0.0, 1e-300))
+            assert pure.qubit3_density is None and mixed.qubit3_state is None
+            assert mixed.outcome == pure.outcome
+            assert mixed.outcome_probability == pytest.approx(
+                pure.outcome_probability, abs=1e-12)
+            psi = pure.qubit3_state
+            assert np.max(np.abs(mixed.qubit3_density - np.outer(psi, psi.conj()))) \
+                <= 1e-12
