@@ -29,7 +29,7 @@ Sign conventions (sigma_z |1> = +|1>) make two identities hold exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,23 +193,37 @@ class CommensurationResult:
     max_residual: float
 
 
+_SCAN_CHUNK = 4096  # candidates per array; a whole window at once would cost MBs
+
+
 def commensurate_pulse(w, theta: float, rabi_nominal: float,
                        tolerance: float = 1e-3, window: float = 0.2,
                        ) -> CommensurationResult:
     """Tune a pulse length so every qubit's free phase wraps to ~2 pi N.
 
-    Scans the exact wrap times of the middle frequency, T = 2 pi N / w_mid,
-    within ``window`` of the nominal length theta / rabi_nominal, and keeps
-    the one minimizing the worst wrapped phase over all ions. The Rabi
-    frequency is then re-derived as theta / T.
+    Candidates are the exact wrap times of the middle frequency,
+    T = 2 pi N / w_mid, within ``window`` of the nominal length
+    theta / rabi_nominal; the one minimizing the worst wrapped phase over
+    all ions wins, the first (smallest N) on a tie. The Rabi frequency is
+    then re-derived as theta / T. The candidates are scanned as arrays of
+    `_SCAN_CHUNK`, so memory stays flat however wide the window; a window
+    of more than 2,000,000 candidates is refused with a ValueError.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w <= 0.0):
-        raise ValueError("qubit frequencies must be positive")
-    if theta <= 0.0 or rabi_nominal <= 0.0:
-        raise ValueError("theta and nominal Rabi frequency must be positive")
+    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("qubit frequencies must be a non-empty 1-D array of "
+                         "finite, positive values")
+    if not all(math.isfinite(x) and x > 0.0 for x in (theta, rabi_nominal)):
+        raise ValueError("theta and nominal Rabi frequency must be finite and positive")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be non-negative: {tolerance!r}")
+    if not 0.0 <= window < 1.0:
+        raise ValueError(f"window must be in [0, 1): {window!r}")
     t_nominal = theta / rabi_nominal
     anchor = w[len(w) // 2]
+    if not anchor * t_nominal * (1.0 + window) / TWO_PI < 2.0 ** 53:
+        raise ValueError("commensuration scan beyond 2**53 wrap periods, where "
+                         "candidate counts are no longer exact floats")
     n_lo = max(1, int(np.floor(anchor * t_nominal * (1.0 - window) / TWO_PI)))
     n_hi = int(np.ceil(anchor * t_nominal * (1.0 + window) / TWO_PI))
     if n_hi - n_lo > 2_000_000:
@@ -217,12 +231,15 @@ def commensurate_pulse(w, theta: float, rabi_nominal: float,
             f"commensuration scan of {n_hi - n_lo} candidates; narrow the "
             f"window or shorten the nominal pulse")
     best = None  # (max residual, T, residual vector)
-    for n in range(n_lo, n_hi + 1):
+    for start in range(n_lo, n_hi + 1, _SCAN_CHUNK):
+        n = np.arange(start, min(start + _SCAN_CHUNK, n_hi + 1), dtype=float)
         T = TWO_PI * n / anchor
-        residuals = w * T - TWO_PI * np.round(w * T / TWO_PI)
-        worst = float(np.max(np.abs(residuals)))
-        if best is None or worst < best[0]:
-            best = (worst, T, residuals)
+        wT = w[:, np.newaxis] * T
+        residuals = wT - TWO_PI * np.round(wT / TWO_PI)
+        worst = np.max(np.abs(residuals), axis=0)
+        k = int(np.argmin(worst))
+        if best is None or worst[k] < best[0]:
+            best = (float(worst[k]), T[k], residuals[:, k])
     if best is None or best[0] > tolerance:
         raise CommensurationError(best[0] if best else np.inf, tolerance)
     worst, T, residuals = best
@@ -238,8 +255,10 @@ class PulseContext:
     """How every builder turns a rotation into a pulse of length theta / rabi.
 
     Each slot is booked at ``t_m``. ``commensurate`` nudges lab-frame pulse
-    lengths onto whole qubit periods of ``couplings`` (`commensurate_pulse`);
-    the refocusing schedules take J from ``couplings`` too.
+    lengths onto whole qubit periods of ``couplings`` (`commensurate_pulse`),
+    fitting each distinct rotation angle once per context (a CNOT uses
+    three); a refused fit is not kept, so it is raised again on every use.
+    The refocusing schedules take J from ``couplings`` too.
     """
 
     couplings: CouplingSet | None = None
@@ -247,6 +266,7 @@ class PulseContext:
     t_m: float = T_M_DEFAULT
     rabi: float = RABI_DEFAULT
     commensurate: bool = False
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.frame not in FRAMES:
@@ -262,7 +282,10 @@ class PulseContext:
 
     def _pulse(self, ion: int, theta: float, phi: float) -> Pulse:
         if self.commensurate:
-            fit = commensurate_pulse(self.couplings.w, theta, self.rabi)
+            fit = self._fits.get(theta)
+            if fit is None:
+                fit = self._fits[theta] = commensurate_pulse(
+                    self.couplings.w, theta, self.rabi)
             return Pulse(ion, theta, phi, fit.rabi, fit.duration,
                          cycles=fit.cycles, residuals=tuple(fit.residuals[:3]))
         return Pulse(ion, theta, phi, self.rabi, theta / self.rabi)

@@ -1,4 +1,6 @@
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from scipy.linalg import expm
 import gradion as g
 from gradion.operators import max_unitarity_defect
 
-from util import (cnot_permutation, free_oracle, phase_aligned_deviation,
-                  pulse_oracle, random_couplings, schedule_oracle_unitary)
+from util import (cnot_permutation, commensuration_scan_oracle, free_oracle,
+                  phase_aligned_deviation, pulse_oracle, random_couplings,
+                  schedule_oracle_unitary)
+
+CNOT_ANGLES = (0.5 * np.pi, np.pi, 3.5 * np.pi)
 
 Z2Z3_TARGET = np.diag(np.exp(-1j * np.pi / 4 *
                              np.array([1, -1, -1, 1, 1, -1, -1, 1.0])))
@@ -285,6 +290,117 @@ class TestCommensuration:
     def test_commensurate_rejected_off_lab_frame(self, rng):
         with pytest.raises(ValueError):
             g.PulseContext(random_couplings(rng), commensurate=True)
+
+    @pytest.mark.parametrize("w, theta, rabi, kwargs, message", [
+        ([np.nan], np.pi, 1e7, {}, "qubit frequencies"),
+        ([8e10, np.nan, 8e10], np.pi, 1e7, {}, "qubit frequencies"),
+        ([np.inf], np.pi, 1e7, {}, "qubit frequencies"),
+        ([-8e10], np.pi, 1e7, {}, "qubit frequencies"),
+        ([], np.pi, 1e7, {}, "qubit frequencies"),
+        ([[8e10, 8e10]], np.pi, 1e7, {}, "qubit frequencies"),
+        ([8e10], np.nan, 1e7, {}, "theta and nominal Rabi"),
+        ([8e10], np.inf, 1e7, {}, "theta and nominal Rabi"),
+        ([8e10], 0.0, 1e7, {}, "theta and nominal Rabi"),
+        ([8e10], np.pi, np.nan, {}, "theta and nominal Rabi"),
+        ([8e10], np.pi, np.inf, {}, "theta and nominal Rabi"),
+        ([8e10], np.pi, -1e7, {}, "theta and nominal Rabi"),
+        ([8e10], np.pi, 1e7, {"tolerance": np.nan}, "tolerance"),
+        ([8e10], np.pi, 1e7, {"tolerance": -1e-3}, "tolerance"),
+        ([8e10], np.pi, 1e7, {"window": np.nan}, "window"),
+        ([8e10], np.pi, 1e7, {"window": np.inf}, "window"),
+        ([8e10], np.pi, 1e7, {"window": -0.1}, "window"),
+        ([8e10], np.pi, 1e7, {"window": 1.0}, "window"),
+        ([8e10], 1e10, 1e-3, {"window": 0.0}, "2\\*\\*53"),
+        ([8e10], 1e300, 1e-300, {}, "2\\*\\*53"),
+    ], ids=["w-nan", "w-nan-entry", "w-inf", "w-negative", "w-empty", "w-2d",
+            "theta-nan", "theta-inf", "theta-zero", "rabi-nan", "rabi-inf",
+            "rabi-negative", "tolerance-nan", "tolerance-negative", "window-nan",
+            "window-inf", "window-negative", "window-one", "beyond-2**53",
+            "nominal-length-overflow"])
+    def test_bad_input_rejected(self, w, theta, rabi, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            g.commensurate_pulse(w, theta, rabi, **kwargs)
+
+    @staticmethod
+    def fit_or_refusal(fit, *args):
+        try:
+            return fit(*args)
+        except g.CommensurationError as err:
+            return err.best_residual
+
+    def test_scan_equals_loop_bit_for_bit(self, d4_chain):
+        # half the default window halves the cost of the per-candidate oracle
+        cases = [(g.solve_chain(*g.preset_layout_field(name)).couplings.w,
+                  theta, g.TWO_PI * 2e6, 1e-3, 0.1)
+                 for name in g.PRESETS for theta in CNOT_ANGLES]
+        # the default window at 3.5 pi spans 14,225 candidates: four chunks
+        cases.append((d4_chain.couplings.w, 3.5 * np.pi, g.TWO_PI * 2e6))
+        # one frequency wraps exactly at most candidates: ties across four chunks
+        cases.append(([g.TWO_PI * 13e9], np.pi, g.TWO_PI * 0.2e6))
+        refusals = 0
+        for args in cases:
+            got = self.fit_or_refusal(g.commensurate_pulse, *args)
+            want = self.fit_or_refusal(commensuration_scan_oracle, *args)
+            assert type(got) is type(want)
+            if isinstance(want, float):
+                refusals += 1
+                assert got == want
+                continue
+            for name in ("duration", "rabi", "cycles", "residuals", "max_residual"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert type(a) is type(b) and a == b, name
+            assert [type(r) for r in got.residuals] == [type(r) for r in want.residuals]
+        assert 0 < refusals < len(cases)
+
+    def test_widest_scan_keeps_memory_flat(self):
+        w, theta, rabi = [g.TWO_PI * 13e9], np.pi, g.TWO_PI * 1.4e3
+        candidates = 0.4 * w[0] * theta / rabi / g.TWO_PI
+        assert 1.8e6 < candidates < 2e6  # just under the scan guard
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            g.commensurate_pulse(w, theta, rabi)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6  # one window-sized float array alone is 15 MB
+        assert elapsed < 0.5
+
+    @staticmethod
+    def count_fits(monkeypatch):
+        thetas = []
+        fit = g.commensurate_pulse
+
+        def counting(w, theta, rabi_nominal):
+            thetas.append(theta)
+            return fit(w, theta, rabi_nominal)
+
+        monkeypatch.setattr("gradion.pulses.commensurate_pulse", counting)
+        return thetas
+
+    def test_one_fit_per_angle(self, d4_chain, monkeypatch):
+        thetas = self.count_fits(monkeypatch)
+        ctx = g.PulseContext(d4_chain.couplings, g.LAB, commensurate=True)
+        sched = g.build_cnot(2, 3, ctx)
+        assert sorted(thetas) == sorted(CNOT_ANGLES)
+        for p in sched.pulses():
+            fit = g.commensurate_pulse(d4_chain.couplings.w, p.theta, ctx.rabi)
+            assert (p.duration, p.rabi, p.cycles, p.residuals) == (
+                fit.duration, fit.rabi, fit.cycles, fit.residuals)
+
+    def test_refused_fit_is_not_kept(self, monkeypatch):
+        thetas = self.count_fits(monkeypatch)
+        couplings = g.solve_chain(*g.preset_layout_field("table1-d7")).couplings
+        ctx = g.PulseContext(couplings, g.LAB, rabi=g.TWO_PI * 2e6, commensurate=True)
+        messages, fitted = [], []
+        for _ in range(2):
+            with pytest.raises(g.CommensurationError) as err:
+                g.build_cnot(2, 3, ctx)
+            messages.append(str(err.value))
+            fitted.append(list(thetas))
+        assert messages[0] == messages[1]
+        assert fitted[0] and fitted[1] == fitted[0] * 2
 
 
 class TestPulseContext:

@@ -87,3 +87,11 @@ def test_call_counts_of_one_dephased_integrated_run(tracing, d4_couplings):
             "integrate.segment_hamiltonians": 4,
             "integrate.integrate_segment_unitary": 40,
         }
+
+
+def test_call_counts_of_one_lab_frame_cnot(tracing, d4_couplings):
+    ctx = g.PulseContext(d4_couplings, g.LAB, commensurate=True)
+    assert count_calls(tracing, lambda: g.build_cnot(2, 3, ctx)) == {
+        "pulses.build_cnot": 1,
+        "pulses.commensurate_pulse": 3,
+    }

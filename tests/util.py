@@ -88,3 +88,34 @@ def schedule_oracle_unitary(schedule, couplings):
                 seg = pulse_oracle(p.ion, p.theta, p.phi) @ seg
         U = seg @ U
     return U
+
+
+def commensuration_scan_oracle(w, theta, rabi_nominal, tolerance=1e-3, window=0.2):
+    """The per-candidate loop `commensurate_pulse` replaced, kept as its reference."""
+    TWO_PI = g.TWO_PI
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    if np.any(w <= 0.0):
+        raise ValueError("qubit frequencies must be positive")
+    if theta <= 0.0 or rabi_nominal <= 0.0:
+        raise ValueError("theta and nominal Rabi frequency must be positive")
+    t_nominal = theta / rabi_nominal
+    anchor = w[len(w) // 2]
+    n_lo = max(1, int(np.floor(anchor * t_nominal * (1.0 - window) / TWO_PI)))
+    n_hi = int(np.ceil(anchor * t_nominal * (1.0 + window) / TWO_PI))
+    if n_hi - n_lo > 2_000_000:
+        raise ValueError(
+            f"commensuration scan of {n_hi - n_lo} candidates; narrow the "
+            f"window or shorten the nominal pulse")
+    best = None  # (max residual, T, residual vector)
+    for n in range(n_lo, n_hi + 1):
+        T = TWO_PI * n / anchor
+        residuals = w * T - TWO_PI * np.round(w * T / TWO_PI)
+        worst = float(np.max(np.abs(residuals)))
+        if best is None or worst < best[0]:
+            best = (worst, T, residuals)
+    if best is None or best[0] > tolerance:
+        raise g.CommensurationError(best[0] if best else np.inf, tolerance)
+    worst, T, residuals = best
+    cycles = np.asarray(np.round(w * T / TWO_PI), dtype=int)
+    cycles3 = tuple(int(c) for c in np.resize(cycles, 3))
+    return g.CommensurationResult(T, theta / T, cycles3, tuple(residuals), worst)
