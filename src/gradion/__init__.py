@@ -7,10 +7,10 @@ the full teleportation protocol with fidelity and timing accounting.
 """
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
-from .trap import (ConvergenceError, EquilibriumSolution, NormalModes, TrapLayout,
-                   UnstableModesError, linear_frequency_for_spacing, linear_spacing,
-                   normal_modes, potential_gradient, potential_hessian,
-                   solve_equilibrium, total_potential)
+from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
+                   linear_frequency_for_spacing, linear_spacing, normal_modes,
+                   potential_gradient, potential_hessian, solve_equilibrium,
+                   total_potential)
 from .couplings import (CarrierSpectrum, Chain, CouplingSet, FieldConfig,
                         SpinSpectrum, carrier_spectrum, compute_couplings,
                         effective_lamb_dicke, heating_time_scaled,

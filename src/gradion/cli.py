@@ -145,7 +145,7 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
     payload = _plain(payload)
     csv_rows = None if csv_rows is None else [_plain(r) for r in csv_rows]
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()

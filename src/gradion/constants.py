@@ -6,6 +6,7 @@ the reporting layer divides by 2*pi where a table wants cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +45,9 @@ class PhysicalConstants:
     def __post_init__(self) -> None:
         for name in ("charge", "epsilon0", "hbar", "mu_b", "amu", "mass",
                      "g_factor", "hyperfine"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and strictly positive")
         mass_amu = self.mass / self.amu
         if not 100.0 <= mass_amu <= 300.0:
             raise ValueError(f"ion mass {mass_amu:.3f} u outside sanity range [100, 300]")

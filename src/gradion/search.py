@@ -6,7 +6,8 @@ parameter (default 0.05). J grows monotonically with the gradient at fixed
 trap frequencies, so each constrained optimum sits at the largest feasible
 gradient; the grids are still swept exhaustively, with the equilibrium and
 mode analysis solved once per trap-frequency pair (they do not depend on the
-gradient). Both searches sweep the gradient axis through `_sweep_gradient`.
+gradient, and the equilibrium does not depend on W2 either). Both searches
+sweep the gradient axis through `_sweep_gradient`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
 from .couplings import CouplingSet, FieldConfig, compute_couplings, solve_chain
-from .trap import (ConvergenceError, EquilibriumSolution, NormalModes, TrapLayout,
-                   UnstableModesError, linear_frequency_for_spacing)
+from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
+                   linear_frequency_for_spacing)
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,12 @@ def evaluate_candidate(params: CandidateParams,
                        b0: float = 1.0, eta: float = 1e-6) -> CandidateEvaluation:
     """Run trap -> equilibrium -> modes -> couplings for one parameter point.
 
-    Solver failures and unstable mode spectra mark the point infeasible
-    instead of raising.
+    Unstable mode spectra mark the point infeasible instead of raising.
     """
     field = FieldConfig(gradient=params.gradient, b0=b0, eta=eta)
     try:
         chain = solve_chain(_layout(params, constants), field)
-    except (ConvergenceError, UnstableModesError) as exc:
+    except UnstableModesError as exc:
         return CandidateEvaluation(params, False, reason=str(exc))
     return CandidateEvaluation(params, True, equilibrium=chain.equilibrium,
                                modes=chain.modes, couplings=chain.couplings)

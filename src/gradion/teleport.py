@@ -59,6 +59,12 @@ IDEAL_STAGES = {
 _PAULI_Z = tuple(pauli_z(ion) for ion in (1, 2, 3))
 
 
+def _check_amplitudes(alpha: complex, beta: complex) -> None:
+    # written so that a NaN amplitude fails the test too
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:
+        raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Inputs of one teleportation run.
@@ -82,9 +88,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate mode must be one of {GATE_MODES}")
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+        _check_amplitudes(self.alpha, self.beta)
         rates = self.dephasing
         if np.isscalar(rates):
             rates = (float(rates),) * 3
@@ -144,15 +148,14 @@ class TeleportRecord:
         if self.qubit3_density is not None:
             payload["qubit3_density"] = [[c2(z) for z in row]
                                          for row in self.qubit3_density]
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 # -- protocol steps ---------------------------------------------------------
 
 def prepare_initial(alpha: complex, beta: complex) -> SpinState:
     """(alpha |0> + beta |1>) x (|0> + |1>)/sqrt2 x |1>."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
-        raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+    _check_amplitudes(alpha, beta)
     return SpinState.product([alpha, beta],
                              [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
                              [0.0, 1.0])

@@ -8,7 +8,8 @@ other through the Coulomb interaction:
 Two layouts are supported: a micro-trap array (three wells spaced by d,
 outer wells sharing one frequency) and a single linear trap (all three
 wells coincide). The magnetic gradient exerts no net force here; the
-equilibrium is set by the trap and Coulomb terms alone.
+equilibrium is set by the trap and Coulomb terms alone. Both layouts are
+mirror-symmetric, so the equilibrium is the root of one scalar cubic.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ import numpy as np
 
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 
-# Stopping threshold: 1e-18 N absolute, tightened to 1e-9 of the force scale
-# at the starting point -- 1e-18 N alone can be a few percent of the Coulomb
-# force for micron-scale chains, which would accept visibly wrong equilibria.
-GRADIENT_TOLERANCE = 1e-18  # N
-RELATIVE_GRADIENT_TOLERANCE = 1e-9
-MAX_NEWTON_ITERATIONS = 200
-
 
 class ConvergenceError(RuntimeError):
-    """Equilibrium solver failed to reach the gradient tolerance."""
+    """Equilibrium solver failed to reach the gradient tolerance.
+
+    Never raised now that `solve_equilibrium` is closed-form; kept while
+    the benchmark's tracer (perfbench/tracing.py) still imports it.
+    """
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (last residual {residual:.3e} N after {iterations} iterations)")
@@ -106,7 +104,7 @@ class TrapLayout:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Converged classical rest positions of the chain.
+    """Classical rest positions of the chain.
 
     ``delta`` is the displacement of the outer ions from their own trap
     center (equal on both sides by symmetry) and ``h`` the distance between
@@ -117,7 +115,7 @@ class EquilibriumSolution:
     delta: float  # m
     h: float  # m
     residual: float  # N, infinity-norm of the gradient at the solution
-    iterations: int
+    iterations: int  # Newton steps on the scalar cubic for delta
 
 
 @dataclass(frozen=True)
@@ -174,45 +172,6 @@ def _hessian(positions, centers, freqs, constants) -> np.ndarray:
     return hess
 
 
-def _newton_minimize(guess, centers, freqs, constants):
-    """Damped Newton descent on the chain potential.
-
-    Steps are halved until the energy decreases and the ion ordering is
-    preserved (the potential extended by |distances| would otherwise let a
-    full Newton step relabel ions). The energy comparison carries a few-ulp
-    slack so rounding noise near the minimum cannot stall the line search.
-    """
-    z = np.asarray(guess, dtype=float).copy()
-    energy = _potential(z, centers, freqs, constants)
-    grad = _gradient(z, centers, freqs, constants)
-    tolerance = min(GRADIENT_TOLERANCE,
-                    max(RELATIVE_GRADIENT_TOLERANCE * float(np.max(np.abs(grad))),
-                        1e-30))
-    iteration = 0
-    for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
-        residual = float(np.max(np.abs(grad)))
-        if residual < tolerance:
-            return z, residual, iteration - 1
-        step = np.linalg.solve(_hessian(z, centers, freqs, constants), grad)
-        slack = 8.0 * np.finfo(float).eps * abs(energy)
-        scale = 1.0
-        for _ in range(60):
-            trial = z - scale * step
-            if np.all(np.diff(trial) > 0.0):
-                trial_energy = _potential(trial, centers, freqs, constants)
-                if trial_energy <= energy + slack:
-                    break
-            scale *= 0.5
-        else:
-            break
-        z, energy = trial, trial_energy
-        grad = _gradient(z, centers, freqs, constants)
-    residual = float(np.max(np.abs(grad)))
-    if residual < tolerance:
-        return z, residual, iteration
-    raise ConvergenceError("equilibrium solver did not converge", residual, iteration)
-
-
 # -- public operations ------------------------------------------------------
 
 def total_potential(layout: TrapLayout, positions: np.ndarray) -> float:
@@ -239,28 +198,33 @@ def potential_hessian(layout: TrapLayout, positions: np.ndarray) -> np.ndarray:
     return _hessian(positions, layout.centers, layout.frequencies, layout.constants)
 
 
-def length_scale(layout: TrapLayout) -> float:
-    """Coulomb length (e^2 / (4 pi eps0 m W^2))^(1/3) of the outer trap."""
-    c = layout.constants
-    return (c.coulomb / (c.mass * layout.frequencies[0] ** 2)) ** (1.0 / 3.0)
-
-
 def solve_equilibrium(layout: TrapLayout) -> EquilibriumSolution:
-    """Find the classical rest positions by damped Newton iteration.
+    """Rest positions of the mirror-symmetric chain, in closed form.
 
-    Initial guess: the trap centers in multi-trap mode, +-one Coulomb length
-    around the center in linear mode.
+    The middle ion stays at its trap center; the outer ions move out by the
+    one positive root delta of delta (d + delta)^2 = c, c = 5 k / (4 m W1^2)
+    (k the Coulomb constant, d = 0 in a linear trap), so W2 does not enter.
+    The cubic is increasing and convex for delta > 0: Newton's method from
+    min(c / d^2, c^(1/3)), above the root, falls monotonically and stops at
+    the first step that does not lower delta, a few ulp from the root.
+    ``TrapLayout`` admits W3 and the multi-trap spacing within 1e-12
+    relative of W1 and d, which bounds the error of using W1 and d near 1e-12.
     """
-    if layout.mode == "multi":
-        guess = layout.centers.copy()
-    else:
-        ell = length_scale(layout)
-        guess = np.array([-ell, 0.0, ell])
-    z, residual, iterations = _newton_minimize(
-        guess, layout.centers, layout.frequencies, layout.constants)
-    delta = float(z[2] - layout.centers[2])
-    h = float(z[1] - z[0])
-    return EquilibriumSolution(z, delta, h, residual, iterations)
+    const = layout.constants
+    d = layout.d if layout.mode == "multi" else 0.0
+    c = 1.25 * const.coulomb / (const.mass * layout.frequencies[0] ** 2)
+    delta = min(c / d**2, np.cbrt(c)) if d > 0.0 else np.cbrt(c)
+    iterations = 0
+    while True:
+        h = d + delta
+        iterations += 1
+        lower = delta - (delta * h * h - c) / (h * (h + 2.0 * delta))
+        if not lower < delta:
+            break
+        delta = lower
+    z = layout.centers + delta * np.array([-1.0, 0.0, 1.0])
+    residual = float(np.max(np.abs(_gradient(z, layout.centers, layout.frequencies, const))))
+    return EquilibriumSolution(z, float(delta), float(z[1] - z[0]), residual, iterations)
 
 
 def linear_spacing(w: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -243,6 +243,30 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and "Rabi frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_nan_amplitude_is_1(self, capsys):
+        code, out, err = run_cli(capsys, ["teleport", "--alpha", "nan", "--beta", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "amplitudes" in err
+
+    @pytest.mark.parametrize("argv", [["couplings", "--format", "json"],
+                                      ["spectrum", "--format", "json"]])
+    @pytest.mark.parametrize("key", ["hyperfine_2pi_ghz", "g_factor"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_is_1(self, capsys, tmp_path, argv, key, value):
+        config = tmp_path / "constants.cfg"
+        config.write_text(f"preset = table1-d4\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, [*argv, "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "finite" in err
+
+    def test_nan_in_json_report_is_1(self, capsys, monkeypatch):
+        import gradion.cli as cli
+        monkeypatch.setattr(cli, "neighbor_resonance_shift", lambda *a: np.nan)
+        code, out, err = run_cli(capsys, ["spectrum", "--preset", "table1-d4",
+                                          "--format", "json"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, ["couplings", "--preset", "table1-d4",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradion as g
 from gradion.couplings import spin_energy
@@ -130,6 +131,23 @@ class TestCouplings:
         assert high.eps_max == pytest.approx(3.0 * low.eps_max, rel=1e-12)
         assert high.J == pytest.approx(9.0 * low.J, rel=1e-12)
         assert high.J13 == pytest.approx(9.0 * low.J13, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d_um=st.floats(1.0, 8.0), w1_mhz=st.floats(0.3, 4.0),
+           w2_mhz=st.floats(0.05, 3.0),
+           gradients=st.lists(st.floats(1.0, 2000.0), min_size=2, max_size=6))
+    def test_couplings_are_exact_powers_of_gradient(self, d_um, w1_mhz, w2_mhz,
+                                                    gradients):
+        # J / B'^2 and eps_max / B' along a gradient axis, each from its own solve
+        layout = g.TrapLayout.multi_trap(d_um * 1e-6, g.TWO_PI * w1_mhz * 1e6,
+                                         g.TWO_PI * w2_mhz * 1e6)
+        scaled = []
+        for grad in gradients:
+            c = g.solve_chain(layout, g.FieldConfig(grad)).couplings
+            scaled.append((c.J / grad**2, c.eps_max / grad))
+        for j, eps in scaled[1:]:
+            assert j == pytest.approx(scaled[0][0], rel=1e-12)
+            assert eps == pytest.approx(scaled[0][1], rel=1e-12)
 
 
 class TestSpinSpectrum:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from functools import lru_cache
 
@@ -208,6 +209,21 @@ class TestRunIdeal:
             g.ProtocolConfig(1.0, 0.0, dephasing=(0.0, 0.0, 10.0))  # ideal mode
         with pytest.raises(ValueError):
             g.ProtocolConfig(1.0, 0.0, gate_mode="fancy")
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (1.0, np.nan),
+                                             (complex(0.0, np.nan), 1.0),
+                                             (np.inf, 0.0)])
+    def test_non_finite_amplitudes_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="amplitudes"):
+            g.ProtocolConfig(alpha, beta)
+        with pytest.raises(ValueError, match="amplitudes"):
+            g.prepare_initial(alpha, beta)
+
+    def test_record_json_refuses_nan(self):
+        record = g.run_teleport(g.ProtocolConfig(0.6, 0.8, seed=1))
+        json.loads(record.to_json())
+        with pytest.raises(ValueError):
+            dataclasses.replace(record, fidelity=np.nan).to_json()
 
     @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0,

@@ -33,8 +33,8 @@ def test_traced_names_resolve_to_functions(tracing):
         assert inspect.isfunction(obj), f"gradion.{layer}.{name}"
 
 
-def count_calls(tracing, task):
-    """Traced call counts of ``task()`` run as one root span."""
+def run_counted(tracing, task):
+    """The tracer after running ``task()`` as one counted root span."""
     tracer = tracing.Tracer()
     tracer.counting = True
     tracer.install()
@@ -44,7 +44,22 @@ def count_calls(tracing, task):
         tracer.close_root()
     finally:
         tracer.uninstall()
-    return {name: n for (_root, name), n in tracer.calls.items()}
+    return tracer
+
+
+def count_calls(tracing, task):
+    """Traced call counts of ``task()`` run as one root span."""
+    return {name: n for (_root, name), n in run_counted(tracing, task).calls.items()}
+
+
+@pytest.mark.parametrize("preset", ["table1-d4", "table3-h4"])
+def test_equilibrium_counter_of_one_chain(tracing, preset):
+    # the tracer imports trap.ConvergenceError and reads .iterations
+    assert tracing.Tracer()._find_references()
+    tracer = run_counted(tracing, lambda: g.solve_chain(*g.preset_layout_field(preset)))
+    assert tracer.calls[("task", "trap.solve_equilibrium")] == 1
+    assert 1 <= tracer.counts["trap.newton_iterations"] <= 10
+    assert tracer.counts["trap.rejected"] == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,43 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import gradion as g
 from gradion import trap
 
+import util
+from util import (exact_force_residual, exact_outer_displacement,
+                  newton_equilibrium_oracle, oracle_positions)
+
 
 def make_multi(d=4e-6, w1=g.TWO_PI * 1.37e6, w2=g.TWO_PI * 1.24e6):
     return g.TrapLayout.multi_trap(d, w1, w2)
+
+
+# 0.1 um wells at 2pi * 0.05 MHz: the old solver's stop rule, 1e-9 of the
+# force at the trap centers, is 6e-5 of the Coulomb force of the 21.7 um chain
+SMALL_SPACING = dict(d=0.1e-6, w1=g.TWO_PI * 0.05e6, w2=g.TWO_PI * 0.05e6)
+
+
+def preset_layouts():
+    return [g.preset_layout_field(name)[0] for name in sorted(g.PRESETS)]
+
+
+def sound_layouts():
+    """Presets, the stage-1 W1 grid at d = 1..7 um, and 20 linear traps."""
+    grid = [make_multi(d * 1e-6, float(w1))
+            for d in range(1, 8) for w1 in np.linspace(*g.SearchSpace().w1)]
+    linear = [g.TrapLayout.linear(float(w))
+              for w in np.geomspace(g.TWO_PI * 0.05e6, g.TWO_PI * 10e6, 20)]
+    return preset_layouts() + grid + linear
+
+
+def extreme_layouts():
+    return [make_multi(**SMALL_SPACING),
+            make_multi(1e-3, g.TWO_PI * 10e6, g.TWO_PI * 1e6),
+            make_multi(50e-6, g.TWO_PI * 0.1e6, g.TWO_PI * 3e6)]
 
 
 class TestTotalPotential:
@@ -62,7 +93,7 @@ class TestSolveEquilibrium:
     def test_single_ion_rests_at_trap_center(self):
         center = np.array([1.3e-6])
         freqs = np.array([g.TWO_PI * 1e6])
-        z, residual, _ = trap._newton_minimize(
+        z, residual, _ = newton_equilibrium_oracle(
             np.array([0.2e-6]), center, freqs, g.DEFAULT_CONSTANTS)
         assert z[0] == pytest.approx(center[0], abs=1e-18)
         assert residual < 1e-18
@@ -80,15 +111,64 @@ class TestSolveEquilibrium:
         for _ in range(20):
             w = g.TWO_PI * rng.uniform(0.2e6, 3e6)
             eq = g.solve_equilibrium(g.TrapLayout.linear(w))
+            # linear_spacing's ** (1/3) sits 3-6 ulp above the root
             assert abs(eq.positions[2]) == pytest.approx(g.linear_spacing(w),
-                                                         rel=1e-10)
+                                                         rel=1e-15)
 
     def test_nonconvergence_is_diagnostic(self, monkeypatch):
-        monkeypatch.setattr(trap, "MAX_NEWTON_ITERATIONS", 1)
-        with pytest.raises(g.ConvergenceError) as err:
-            g.solve_equilibrium(make_multi())
+        monkeypatch.setattr(util, "MAX_NEWTON_ITERATIONS", 1)
+        layout = make_multi()
+        with pytest.raises(trap.ConvergenceError) as err:
+            newton_equilibrium_oracle(layout.centers, layout.centers,
+                                      layout.frequencies, layout.constants)
         assert err.value.residual > 0.0
         assert "residual" in str(err.value)
+
+    def test_delta_within_8_ulp_of_exact_root(self):
+        for layout in sound_layouts() + extreme_layouts():
+            eq = g.solve_equilibrium(layout)
+            exact = exact_outer_displacement(layout)
+            ulps = abs(Fraction(eq.delta) - exact) / Fraction(math.ulp(float(exact)))
+            assert ulps <= 8, (layout, float(ulps))
+            assert 1 <= eq.iterations <= 10
+
+    def test_positions_match_newton_oracle(self):
+        for layout in sound_layouts():
+            eq = g.solve_equilibrium(layout)
+            assert np.max(np.abs(eq.positions - oracle_positions(layout))) \
+                <= 1e-8 * eq.h, layout
+
+    def test_force_balance_is_exact_to_rounding(self):
+        for layout in preset_layouts():
+            eq = g.solve_equilibrium(layout)
+            assert exact_force_residual(layout, eq.positions) <= 4e-15, layout
+            assert eq.residual <= 1e-14 * layout.constants.coulomb / eq.h**2
+
+    def test_small_spacing_force_balance(self):
+        layout = make_multi(**SMALL_SPACING)
+        eq = g.solve_equilibrium(layout)
+        assert eq.h == pytest.approx(21.66e-6, rel=1e-3)
+        assert exact_force_residual(layout, eq.positions) <= 1e-15
+
+    def test_exact_mirror_symmetry_independent_of_w2(self, rng):
+        for _ in range(20):
+            d = rng.uniform(1e-6, 8e-6)
+            w1 = g.TWO_PI * rng.uniform(0.3e6, 3e6)
+            eq = g.solve_equilibrium(g.TrapLayout.multi_trap(d, w1, g.TWO_PI * 1e6))
+            z = eq.positions
+            assert z[1] == 0.0
+            assert z[0] + z[2] == 2 * z[1]
+            for w2 in g.TWO_PI * rng.uniform(0.1e6, 3e6, 3):
+                other = g.solve_equilibrium(g.TrapLayout.multi_trap(d, w1, w2))
+                assert np.array_equal(other.positions, z)
+                assert (other.delta, other.h) == (eq.delta, eq.h)
+
+    def test_outer_frequency_slack_stays_within_bound(self):
+        layout = g.preset_layout_field("table1-d3")[0]
+        freqs = layout.frequencies * np.array([1.0, 1.0, 1.0 + 1e-13])
+        skewed = g.TrapLayout("multi", layout.centers, freqs, layout.d)
+        eq = g.solve_equilibrium(skewed)
+        assert np.max(np.abs(eq.positions - oracle_positions(skewed))) <= 1e-11 * eq.h
 
 
 class TestNormalModes:
@@ -149,6 +229,15 @@ class TestNormalModes:
                             lambda *a, **k: -np.eye(3))
         with pytest.raises(g.UnstableModesError):
             g.normal_modes(layout, eq)
+
+
+class TestConstantsValidation:
+    @pytest.mark.parametrize("name", ["charge", "epsilon0", "hbar", "mu_b", "amu",
+                                      "mass", "g_factor", "hyperfine"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+            g.PhysicalConstants(**{name: bad})
 
 
 class TestLayoutValidation:

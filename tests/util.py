@@ -1,9 +1,12 @@
 """Shared test helpers: independent oracles and random-state generators."""
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.linalg import expm
 
 import gradion as g
+from gradion.trap import ConvergenceError, _gradient, _hessian, _potential
 
 I2 = np.eye(2, dtype=complex)
 SZ2 = np.array([[-1, 0], [0, 1]], dtype=complex)  # sigma_z |1> = +|1>
@@ -119,3 +122,99 @@ def commensuration_scan_oracle(w, theta, rabi_nominal, tolerance=1e-3, window=0.
     cycles = np.asarray(np.round(w * T / TWO_PI), dtype=int)
     cycles3 = tuple(int(c) for c in np.resize(cycles, 3))
     return g.CommensurationResult(T, theta / T, cycles3, tuple(residuals), worst)
+
+
+# Stopping threshold: 1e-18 N absolute, tightened to 1e-9 of the force scale
+# at the starting point -- 1e-18 N alone can be a few percent of the Coulomb
+# force for micron-scale chains, which would accept visibly wrong equilibria.
+GRADIENT_TOLERANCE = 1e-18  # N
+RELATIVE_GRADIENT_TOLERANCE = 1e-9
+MAX_NEWTON_ITERATIONS = 200
+
+
+def newton_equilibrium_oracle(guess, centers, freqs, constants):
+    """Damped Newton descent on the chain potential.
+
+    Steps are halved until the energy decreases and the ion ordering is
+    preserved (the potential extended by |distances| would otherwise let a
+    full Newton step relabel ions). The energy comparison carries a few-ulp
+    slack so rounding noise near the minimum cannot stall the line search.
+    """
+    z = np.asarray(guess, dtype=float).copy()
+    energy = _potential(z, centers, freqs, constants)
+    grad = _gradient(z, centers, freqs, constants)
+    tolerance = min(GRADIENT_TOLERANCE,
+                    max(RELATIVE_GRADIENT_TOLERANCE * float(np.max(np.abs(grad))),
+                        1e-30))
+    iteration = 0
+    for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
+        residual = float(np.max(np.abs(grad)))
+        if residual < tolerance:
+            return z, residual, iteration - 1
+        step = np.linalg.solve(_hessian(z, centers, freqs, constants), grad)
+        slack = 8.0 * np.finfo(float).eps * abs(energy)
+        scale = 1.0
+        for _ in range(60):
+            trial = z - scale * step
+            if np.all(np.diff(trial) > 0.0):
+                trial_energy = _potential(trial, centers, freqs, constants)
+                if trial_energy <= energy + slack:
+                    break
+            scale *= 0.5
+        else:
+            break
+        z, energy = trial, trial_energy
+        grad = _gradient(z, centers, freqs, constants)
+    residual = float(np.max(np.abs(grad)))
+    if residual < tolerance:
+        return z, residual, iteration
+    raise ConvergenceError("equilibrium solver did not converge", residual, iteration)
+
+
+def oracle_positions(layout):
+    """Rest positions by `newton_equilibrium_oracle`, from the guess the old
+    solver used: the trap centers, or +-one Coulomb length in a linear trap."""
+    c = layout.constants
+    if layout.mode == "multi":
+        guess = layout.centers.copy()
+    else:
+        ell = (c.coulomb / (c.mass * layout.frequencies[0] ** 2)) ** (1.0 / 3.0)
+        guess = np.array([-ell, 0.0, ell])
+    return newton_equilibrium_oracle(guess, layout.centers, layout.frequencies, c)[0]
+
+
+def exact_outer_displacement(layout, bits=80):
+    """Positive root of delta (d + delta)^2 = 5 k / (4 m W1^2) in exact
+    rational arithmetic on the float inputs, bisected to 2^-bits of delta."""
+    c = layout.constants
+    d = Fraction(layout.d) if layout.mode == "multi" else Fraction(0)
+    lhs = 4 * Fraction(c.mass) * Fraction(float(layout.frequencies[0])) ** 2
+    rhs = 5 * Fraction(c.coulomb)
+    lo, hi = Fraction(0), Fraction(1)
+    while hi * (d + hi) ** 2 * lhs < rhs:
+        hi *= 2
+    while (hi - lo) > hi / 2**bits:
+        mid = (lo + hi) / 2
+        if mid * (d + mid) ** 2 * lhs < rhs:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def exact_force_residual(layout, positions):
+    """Largest net force on an ion at ``positions``, in exact rational
+    arithmetic on the float inputs, relative to k / h^2 (h the ion spacing)."""
+    c = layout.constants
+    k, m = Fraction(c.coulomb), Fraction(c.mass)
+    z = [Fraction(float(x)) for x in positions]
+    forces = []
+    for i in range(3):
+        force = -m * Fraction(float(layout.frequencies[i])) ** 2 \
+            * (z[i] - Fraction(float(layout.centers[i])))
+        for j in range(3):
+            if j != i:
+                r = z[i] - z[j]
+                force += k / r**2 if r > 0 else -k / r**2
+        forces.append(abs(force))
+    return float(max(forces) * (z[1] - z[0]) ** 2 / k)
