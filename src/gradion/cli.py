@@ -63,11 +63,16 @@ CONFIG_KEYS = {
 
 
 def load_config(path: str) -> dict:
-    """Parse a ``key = value`` config file; unknown keys and bad values fail
-    with the offending line number."""
+    """Parse a ``key = value`` UTF-8 config file; undecodable bytes, unknown
+    keys and bad values fail with the offending line number."""
     settings: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape defers decode errors to the line that holds them
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

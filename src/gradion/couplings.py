@@ -139,10 +139,37 @@ def effective_lamb_dicke(modes: NormalModes, field: FieldConfig,
     validity ceiling applies to |eps|.
     """
     dwdz = 2.0 * constants.mu_b * field.gradient / constants.hbar
-    ground_width = np.sqrt(constants.hbar / (2.0 * constants.mass * modes.nu))
-    eps = modes.D * (ground_width * dwdz / modes.nu)[np.newaxis, :]
+    eps = _lamb_dicke_matrix(modes.D, modes.nu, dwdz, constants)
     eta_prime = np.sqrt(field.eta**2 + eps**2)
     return eps, float(np.max(np.abs(eps))), eta_prime
+
+
+# The two helpers below broadcast over leading axes -- D (..., 3, 3), nu
+# (..., 3), dwdz (...) -- with the float operations of a single chain, so a
+# stack of chains and gradients gets values bit-identical to one at a time.
+
+def _lamb_dicke_matrix(D, nu, dwdz, constants) -> np.ndarray:
+    """Signed eps_il = D_il sqrt(hbar / (2 m nu_l)) (dw/dz) / nu_l."""
+    ground_width = np.sqrt(constants.hbar / (2.0 * constants.mass * nu))
+    return D * (ground_width * np.expand_dims(dwdz, -1) / nu)[..., np.newaxis, :]
+
+
+def _ising_matrix(D, nu, dwdz, constants) -> np.ndarray:
+    """J_ij = (hbar/2) (dw/dz)^2 sum_l D_il D_jl / (m nu_l^2).
+
+    Raises ValueError wherever J12 != J23 (beyond 1e-8 relative).
+    ``float_power`` is libm's pow, the same as a Python float's ``**``.
+    """
+    inv_mnu2 = 1.0 / (constants.mass * nu**2)
+    scale = constants.hbar * 0.5 * np.float_power(dwdz, 2)
+    jmat = (np.expand_dims(scale, (-2, -1)) * (D * inv_mnu2[..., np.newaxis, :])
+            @ np.swapaxes(D, -2, -1))
+    j12, j23 = jmat[..., 0, 1], jmat[..., 1, 2]
+    tolerance = 1e-8 * np.maximum(np.maximum(np.abs(j12), np.abs(j23)), 1e-300)
+    if np.any(np.abs(j12 - j23) > tolerance):
+        raise ValueError(
+            "nearest-neighbor couplings differ; layout must keep W1 == W3")
+    return jmat
 
 
 def compute_couplings(modes: NormalModes, field: FieldConfig, eq: EquilibriumSolution,
@@ -153,15 +180,9 @@ def compute_couplings(modes: NormalModes, field: FieldConfig, eq: EquilibriumSol
     Hessian, so J is invariant under any per-column sign flip of D.
     """
     w, dwdz = qubit_frequencies(field, eq, constants)
-    inv_mnu2 = 1.0 / (constants.mass * modes.nu**2)
-    jmat = constants.hbar * 0.5 * dwdz**2 * (modes.D * inv_mnu2) @ modes.D.T
-    j12, j23, j13 = jmat[0, 1], jmat[1, 2], jmat[0, 2]
-    scale = max(abs(j12), abs(j23), 1e-300)
-    if abs(j12 - j23) > 1e-8 * scale:
-        raise ValueError(
-            "nearest-neighbor couplings differ; layout must keep W1 == W3")
+    jmat = _ising_matrix(modes.D, modes.nu, dwdz, constants)
     eps, eps_max, eta_prime = effective_lamb_dicke(modes, field, constants)
-    return CouplingSet(w=w, dwdz=dwdz, J=float(j12), J13=float(j13),
+    return CouplingSet(w=w, dwdz=dwdz, J=float(jmat[0, 1]), J13=float(jmat[0, 2]),
                        eps=eps, eps_max=eps_max, eta=field.eta, eta_prime=eta_prime)
 
 

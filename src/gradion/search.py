@@ -4,10 +4,11 @@ Two-stage exhaustive grid search over trap frequencies and field gradient,
 subject to a stable equilibrium and a ceiling on the effective Lamb-Dicke
 parameter (default 0.05). J grows monotonically with the gradient at fixed
 trap frequencies, so each constrained optimum sits at the largest feasible
-gradient; the grids are still swept exhaustively, with the equilibrium and
-mode analysis solved once per trap-frequency pair (they do not depend on the
-gradient, and the equilibrium does not depend on W2 either). Both searches
-sweep the gradient axis through `_sweep_gradient`.
+gradient; the grids are still swept exhaustively. Both searches evaluate a
+stage one W1 row at a time through `_sweep_row`: one equilibrium per W1 (it
+depends on neither W2 nor the gradient), one batched ``eigh`` over the W2
+axis, and J and eps_max as (W2, gradient) arrays. Only the winner is solved
+as a full chain, by `evaluate_candidate`, for the reported numbers.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
-from .couplings import CouplingSet, FieldConfig, compute_couplings, solve_chain
+from .couplings import (CouplingSet, FieldConfig, _ising_matrix, _lamb_dicke_matrix,
+                        solve_chain)
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
-                   linear_frequency_for_spacing)
+                   _hessian, linear_frequency_for_spacing, solve_equilibrium)
 
 
 @dataclass(frozen=True)
@@ -128,46 +130,67 @@ def _better(j, eps, grad, best) -> bool:
     return grad < bgrad
 
 
-def _result_from(best_eval: CandidateEvaluation | None, evaluations: int,
-                 trace: tuple) -> SearchResult:
-    if best_eval is None:
+def _result_from(params: CandidateParams | None, evaluations: int, trace: tuple,
+                 space: SearchSpace, constants: PhysicalConstants) -> SearchResult:
+    if params is None:
         return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan,
                             evaluations, False, trace)
-    c, eq = best_eval.couplings, best_eval.equilibrium
-    return SearchResult(best_eval.params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
+    winner = evaluate_candidate(params, constants, b0=space.b0, eta=space.eta)
+    c, eq = winner.couplings, winner.equilibrium
+    return SearchResult(params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
                         evaluations, True, trace)
 
 
-def _sweep_gradient(base: CandidateEvaluation, grid: tuple[float, float, int],
-                    space: SearchSpace, constants: PhysicalConstants, best,
-                    trace: list | None):
-    """Evaluate every gradient of ``grid`` on the solved chain of ``base``.
+def _sweep_row(layout: TrapLayout, center: np.ndarray, grid: tuple[float, float, int],
+               params, space: SearchSpace, constants: PhysicalConstants, best,
+               trace: list | None):
+    """Evaluate one W1 row of a stage: ``layout`` with each center frequency of
+    ``center`` in turn, at every gradient of ``grid``, as arrays.
 
-    ``best`` is None or ((J, eps_max, gradient), evaluation); the updated
-    best is returned. An infeasible base yields one rejection entry per grid
-    point. ``trace`` entries are (params, J, eps_max, feasible).
+    The equilibrium is solved once (it does not depend on W2), the Hessians
+    are diagonalized in one batched ``eigh``, and J and eps_max come from the
+    couplings module's own expressions, so every value is bit-identical to
+    `evaluate_candidate` at that point. ``params(i, gradient)`` names point i
+    of the row. ``best`` is None or ((J, eps_max, gradient), params); the
+    updated best is returned. ``trace`` entries are (params, J, eps_max,
+    feasible), in iteration order; an unstable center frequency yields one
+    rejection entry (params(i, grid lo), nan, nan, False) per grid point.
     """
-    if not base.feasible:
-        if trace is not None:
-            trace.extend([(base.params, np.nan, np.nan, False)] * grid[2])
+    grads = _grid(grid)
+    eq = solve_equilibrium(layout)
+    freqs = np.tile(layout.frequencies, (len(center), 1))
+    freqs[:, 1] = center
+    evals, vecs = np.linalg.eigh(_hessian(eq.positions, layout.centers, freqs, constants))
+    stable = ~np.any(evals <= 0.0, axis=-1)  # normal_modes' stability check
+    J = np.full((len(center), len(grads)), np.nan)
+    eps_max = J.copy()
+    if np.any(stable):
+        nu = np.sqrt(evals[stable] / constants.mass)[:, np.newaxis]
+        D = vecs[stable][:, np.newaxis]
+        dwdz = 2.0 * constants.mu_b * grads / constants.hbar
+        J[stable] = _ising_matrix(D, nu, dwdz, constants)[..., 0, 1]
+        eps_max[stable] = np.max(np.abs(_lamb_dicke_matrix(D, nu, dwdz, constants)),
+                                 axis=(-2, -1))
+    feasible = eps_max < space.eps_ceiling
+    if trace is not None:
+        lo = float(grid[0])
+        for i in range(len(center)):
+            if not stable[i]:
+                trace.extend([(params(i, lo), np.nan, np.nan, False)] * len(grads))
+                continue
+            trace.extend((params(i, float(grad)), float(J[i, k]), float(eps_max[i, k]),
+                          bool(feasible[i, k])) for k, grad in enumerate(grads))
+    if not np.any(feasible):
         return best
-    for grad in _grid(grid):
-        grad = float(grad)
-        field = FieldConfig(gradient=grad, b0=space.b0, eta=space.eta)
-        couplings = compute_couplings(base.modes, field, base.equilibrium, constants)
-        feasible = couplings.eps_max < space.eps_ceiling
-        better = feasible and _better(couplings.J, couplings.eps_max, grad,
-                                      best and best[0])
-        if trace is None and not better:
-            continue
-        # params only for kept entries: a table1 sweep makes 15,360 evaluations
-        params = replace(base.params, gradient=grad)
-        if trace is not None:
-            trace.append((params, couplings.J, couplings.eps_max, feasible))
-        if better:
-            best = ((couplings.J, couplings.eps_max, grad),
-                    CandidateEvaluation(params, True, equilibrium=base.equilibrium,
-                                        modes=base.modes, couplings=couplings))
+    # the row's best feasible point in _better's order: J descending, eps_max
+    # ascending, gradient ascending, then first in iteration order
+    pick = feasible & (J == J[feasible].max())
+    pick &= eps_max == eps_max[pick].min()
+    pick &= grads == grads[np.nonzero(pick)[1]].min()
+    i, k = np.unravel_index(np.argmax(pick), pick.shape)
+    key = (float(J[i, k]), float(eps_max[i, k]), float(grads[k]))
+    if _better(*key, best and best[0]):
+        best = (key, params(int(i), key[2]))
     return best
 
 
@@ -185,27 +208,28 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
     space = space or SearchSpace()
     evaluations = 0
     trace: list | None = [] if collect_trace else None
-    best = None  # ((J, eps, gradient), evaluation)
+    best = None  # ((J, eps, gradient), params)
 
     stage_space = space
     for _stage in range(2):
+        w2s = _grid(stage_space.w2)
         for w1 in _grid(stage_space.w1):
-            for w2 in _grid(stage_space.w2):
-                base = evaluate_candidate(
-                    CandidateParams("multi", float(stage_space.gradient[0]),
-                                    d=d, w1=float(w1), w2=float(w2)),
-                    constants, b0=space.b0, eta=space.eta)
-                best = _sweep_gradient(base, stage_space.gradient, space, constants,
-                                       best, trace)
-                evaluations += stage_space.gradient[2]
+            w1 = float(w1)
+            best = _sweep_row(
+                TrapLayout.multi_trap(d, w1, float(w2s[0]), constants), w2s,
+                stage_space.gradient,
+                lambda i, grad: CandidateParams("multi", grad, d=d, w1=w1, w2=float(w2s[i])),
+                space, constants, best, trace)
+        evaluations += stage_space.w1[2] * stage_space.w2[2] * stage_space.gradient[2]
         if best is None:
             break
-        p = best[1].params
+        p = best[1]
         stage_space = replace(space,
                               w1=_refined(space.w1, p.w1),
                               w2=_refined(space.w2, p.w2),
                               gradient=_refined(space.gradient, p.gradient))
-    return _result_from(best[1] if best else None, evaluations, tuple(trace or ()))
+    return _result_from(best and best[1], evaluations, tuple(trace or ()), space,
+                        constants)
 
 
 def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
@@ -224,13 +248,15 @@ def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
     trace: list | None = [] if collect_trace else None
     best = None
 
-    base = evaluate_candidate(CandidateParams("linear", float(space.gradient[0]), w=w),
-                              constants, b0=space.b0, eta=space.eta)
+    layout = TrapLayout.linear(w, constants)
     grid = space.gradient
     for _stage in range(2):
-        best = _sweep_gradient(base, grid, space, constants, best, trace)
+        best = _sweep_row(layout, layout.frequencies[1:2], grid,
+                          lambda _i, grad: CandidateParams("linear", grad, w=w),
+                          space, constants, best, trace)
         evaluations += grid[2]
         if best is None:
             break
-        grid = _refined(space.gradient, best[1].params.gradient)
-    return _result_from(best[1] if best else None, evaluations, tuple(trace or ()))
+        grid = _refined(space.gradient, best[1].gradient)
+    return _result_from(best and best[1], evaluations, tuple(trace or ()), space,
+                        constants)

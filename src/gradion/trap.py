@@ -45,8 +45,8 @@ class TrapLayout:
     mode
         "multi" for one micro-trap per ion, "linear" for a single shared well.
     centers
-        Trap centers zc_i in m. Linear mode: all equal. Multi mode: strictly
-        increasing, evenly spaced by ``d``.
+        Trap centers zc_i in m. Linear mode: all exactly equal. Multi mode:
+        strictly increasing, evenly spaced by ``d``.
     frequencies
         Angular trap frequencies W_i in rad/s. The outer traps are required
         to share one frequency so that the two nearest-neighbor couplings
@@ -81,7 +81,7 @@ class TrapLayout:
             if np.any(spacing <= 0.0) or not np.allclose(spacing, self.d, rtol=1e-12):
                 raise ValueError("multi-trap centers must increase in even steps of d")
         elif self.mode == "linear":
-            if not np.allclose(centers, centers[0]):
+            if not np.all(centers == centers[0]):
                 raise ValueError("linear layout requires coincident trap centers")
             if not np.allclose(freqs, freqs[0], rtol=1e-12):
                 raise ValueError("linear layout requires one common trap frequency")
@@ -159,16 +159,21 @@ def _gradient(positions, centers, freqs, constants) -> np.ndarray:
 
 
 def _hessian(positions, centers, freqs, constants) -> np.ndarray:
+    """Hessian (..., n, n) for frequencies (..., n): a leading axis of freqs
+    gives a stack of Hessians at the same positions, each entry computed by
+    the same float operations as a single one."""
     m = constants.mass
     n = len(positions)
-    hess = np.diag(m * freqs**2)
+    diag = np.arange(n)
+    hess = np.zeros(np.shape(freqs) + (n,))
+    hess[..., diag, diag] = m * freqs**2
     for i in range(n):
         for j in range(n):
             if j == i:
                 continue
             curv = 2.0 * constants.coulomb / abs(positions[i] - positions[j]) ** 3
-            hess[i, i] += curv
-            hess[i, j] -= curv
+            hess[..., i, i] += curv
+            hess[..., i, j] -= curv
     return hess
 
 
@@ -232,7 +237,7 @@ def linear_spacing(w: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -
 
     The outer ions sit at +-(5/4)^(1/3) (e^2/(4 pi eps0 m W^2))^(1/3).
     """
-    return (1.25 * constants.coulomb / (constants.mass * w**2)) ** (1.0 / 3.0)
+    return float(np.cbrt(1.25 * constants.coulomb / (constants.mass * w**2)))
 
 
 def linear_frequency_for_spacing(h: float,

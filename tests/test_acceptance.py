@@ -180,7 +180,7 @@ def test_criterion_7_property_suite():
 def test_criterion_8_search_reproduction():
     with Stopwatch() as sw:
         multi = g.maximize_J_multitrap(4e-6)
-    assert sw.elapsed < 300.0
+    assert sw.elapsed < 1.0
     assert multi.feasible
     assert multi.J >= g.TWO_PI * 459.0 * 0.97
     assert multi.eps_max < 0.05
@@ -188,15 +188,15 @@ def test_criterion_8_search_reproduction():
 
     with Stopwatch() as sw:
         linear = g.maximize_J_linear(4e-6)
-    assert sw.elapsed < 300.0
+    assert sw.elapsed < 1.0
     assert linear.feasible
     assert linear.J >= g.TWO_PI * 359.0 * 0.97
     assert linear.eps_max < 0.05
     report(8, elapsed_multi + sw.elapsed,
            f"table1 --d 4: J={multi.J/(g.TWO_PI*1e3):.3f} x2pi kHz "
-           f"(eps {multi.eps_max:.4f}, {elapsed_multi:.1f} s); "
+           f"(eps {multi.eps_max:.4f}, {elapsed_multi:.3f} s); "
            f"table3 --h 4: J={linear.J/(g.TWO_PI*1e3):.3f} x2pi kHz "
-           f"(eps {linear.eps_max:.4f}, {sw.elapsed:.1f} s)")
+           f"(eps {linear.eps_max:.4f}, {sw.elapsed:.3f} s)")
 
 
 def test_criterion_9_integrator_consistency():

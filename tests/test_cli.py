@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradion as g
-from gradion.cli import load_config, main
+from gradion.cli import CONFIG_KEYS, load_config, main
 
 
 def run_cli(capsys, argv):
@@ -45,6 +47,38 @@ class TestConfig:
         path.write_text("gradient 500\n")
         with pytest.raises(ValueError, match="bad3.cfg:1"):
             load_config(str(path))
+
+
+    def test_invalid_utf8_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "bytes.cfg"
+        path.write_bytes(b"mode = linear\n\xff\xfe = 2\n")
+        with pytest.raises(ValueError, match=r"bytes.cfg:2: not valid UTF-8 text"):
+            load_config(str(path))
+        code, _, err = run_cli(capsys, ["couplings", "--config", str(path)])
+        assert code == 1
+        assert f"error: {path}:2: not valid UTF-8 text" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.one_of(
+               st.binary(max_size=24),
+               st.tuples(st.sampled_from(sorted(CONFIG_KEYS) + ["Mode", "bogus", ""]),
+                         st.sampled_from([b" = ", b"=", b" ", b" == "]),
+                         st.binary(max_size=12)).map(
+                   lambda t: t[0].encode() + t[1] + t[2])),
+               max_size=8),
+           newline=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    def test_fuzzed_file_fails_only_with_its_line(self, tmp_path_factory, lines, newline):
+        data = newline.join(lines)
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            parsed = load_config(str(path))
+        except ValueError as exc:
+            match = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
+            assert match, str(exc)
+            assert 1 <= int(match.group(1)) <= data.count(b"\n") + data.count(b"\r") + 1
+        else:
+            assert set(parsed) <= set(CONFIG_KEYS)
 
 
 class TestCouplingsCommand:

@@ -124,6 +124,23 @@ class TestCouplings:
         assert couplings.J == pytest.approx(jmat[0, 1], rel=1e-10)
         assert couplings.J13 == pytest.approx(jmat[0, 2], rel=1e-10)
 
+    def test_gradient_axis_matches_scalar_expressions(self, d4_chain, rng):
+        # a whole gradient axis in one call must give, bit for bit, what the
+        # scalar expressions give one gradient at a time: Python's float **
+        # is libm pow, which differs from numpy's square in ~1 case in 1000
+        from gradion.couplings import _ising_matrix, _lamb_dicke_matrix
+        modes, c = d4_chain.modes, g.DEFAULT_CONSTANTS
+        grads = rng.uniform(1.0, 2000.0, 20_000)
+        dwdz = 2.0 * c.mu_b * grads / c.hbar
+        jmat = _ising_matrix(modes.D, modes.nu, dwdz, c)
+        eps = _lamb_dicke_matrix(modes.D, modes.nu, dwdz, c)
+        inv_mnu2 = 1.0 / (c.mass * modes.nu**2)
+        ground_width = np.sqrt(c.hbar / (2.0 * c.mass * modes.nu))
+        for k, x in enumerate(dwdz.tolist()):
+            scalar = c.hbar * 0.5 * x**2 * (modes.D * inv_mnu2) @ modes.D.T
+            assert np.array_equal(jmat[k], scalar)
+            assert np.array_equal(eps[k], modes.D * (ground_width * x / modes.nu))
+
     def test_scaling_with_gradient(self, d4_chain):
         eq, modes = d4_chain.equilibrium, d4_chain.modes
         low = g.compute_couplings(modes, g.FieldConfig(200.0), eq)

@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 import gradion as g
+from gradion import search, trap
 from gradion.search import CandidateParams
+
+from util import sweep_search_oracle
 
 
 def multi_params(d_um, w1_mhz, w2_mhz, grad):
@@ -141,3 +146,121 @@ class TestLinearSearch:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             g.maximize_J_linear(0.0)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_same_search(result, oracle):
+    """Equal SearchResults, floats bit for bit (NaN included), traces entry by entry."""
+    assert result.params == oracle.params
+    assert result.feasible == oracle.feasible
+    assert result.evaluations == oracle.evaluations
+    for name in ("J", "J13", "eps_max", "delta", "h"):
+        assert bits(getattr(result, name)) == bits(getattr(oracle, name)), name
+    assert len(result.trace) == len(oracle.trace)
+    for got, want in zip(result.trace, oracle.trace):
+        assert got[0] == want[0]
+        assert bits(got[1]) == bits(want[1]) and bits(got[2]) == bits(want[2])
+        assert type(got[3]) is type(want[3]) and got[3] == want[3]
+
+
+def small_space(**changes):
+    base = dict(w1=(g.TWO_PI * 1.0e6, g.TWO_PI * 2.0e6, 4),
+                w2=(g.TWO_PI * 0.8e6, g.TWO_PI * 1.6e6, 5),
+                gradient=(100.0, 800.0, 6))
+    base.update(changes)
+    return g.SearchSpace(**base)
+
+
+class TestRowArraySearchMatchesOracle:
+    """The row-array search against the per-point search it replaced."""
+
+    @pytest.mark.parametrize("d_um", [1, 2, 3, 4, 5, 6, 7])
+    def test_table1_rows(self, d_um):
+        result = g.maximize_J_multitrap(d_um * 1e-6, collect_trace=True)
+        assert_same_search(result, sweep_search_oracle("multi", d_um * 1e-6,
+                                                       collect_trace=True))
+        assert result.evaluations == 15_360
+
+    @pytest.mark.parametrize("d", np.random.default_rng(8).uniform(1e-6, 7e-6, 30))
+    def test_random_spacings(self, d):
+        assert_same_search(g.maximize_J_multitrap(float(d), collect_trace=True),
+                           sweep_search_oracle("multi", float(d), collect_trace=True))
+
+    @pytest.mark.parametrize("h_um", [2, 3, 4, 5, 6])
+    def test_linear_rows(self, h_um):
+        assert_same_search(g.maximize_J_linear(h_um * 1e-6, collect_trace=True),
+                           sweep_search_oracle("linear", h_um * 1e-6, collect_trace=True))
+
+    def test_no_trace_unless_collected(self):
+        result = g.maximize_J_multitrap(4e-6, small_space())
+        assert result.trace == ()
+        assert_same_search(result, sweep_search_oracle("multi", 4e-6, small_space()))
+
+    @pytest.mark.parametrize("axes", [
+        dict(w1=(g.TWO_PI * 1.3e6, g.TWO_PI * 1.3e6, 1)),
+        dict(w2=(g.TWO_PI * 1.2e6, g.TWO_PI * 1.2e6, 1)),
+        dict(gradient=(150.0, 150.0, 1)),
+        dict(w1=(g.TWO_PI * 1.3e6, g.TWO_PI * 1.3e6, 1),
+             w2=(g.TWO_PI * 1.2e6, g.TWO_PI * 1.2e6, 1),
+             gradient=(150.0, 150.0, 1)),
+        dict(eps_ceiling=1e-9),
+    ])
+    def test_edge_spaces(self, axes):
+        space = small_space(**axes)
+        for mode, spacing in (("multi", 4e-6), ("linear", 4e-6)):
+            run = g.maximize_J_multitrap if mode == "multi" else g.maximize_J_linear
+            result = run(spacing, space, collect_trace=True)
+            assert_same_search(result, sweep_search_oracle(mode, spacing, space,
+                                                           collect_trace=True))
+            assert result.feasible == (axes.get("eps_ceiling") is None)
+
+    def test_unstable_center_frequencies_are_rejections(self, monkeypatch):
+        # flip the Hessian of every W2 below 1.2 MHz: normal_modes raises for
+        # those chains, and the row arrays must reject the same points
+        hessian = trap._hessian
+
+        def flipped(positions, centers, freqs, constants):
+            hess = hessian(positions, centers, freqs, constants)
+            low = np.asarray(freqs)[..., 1] < g.TWO_PI * 1.2e6
+            hess[low] = -hess[low]
+            return hess
+
+        monkeypatch.setattr(trap, "_hessian", flipped)
+        monkeypatch.setattr(search, "_hessian", flipped)
+        space = small_space()
+        result = g.maximize_J_multitrap(4e-6, space, collect_trace=True)
+        assert_same_search(result, sweep_search_oracle("multi", 4e-6, space,
+                                                       collect_trace=True))
+        rejected = [p for p, J, _eps, _feas in result.trace if np.isnan(J)]
+        assert rejected and all(p.w2 < g.TWO_PI * 1.2e6 for p in rejected)
+        assert result.params.w2 >= g.TWO_PI * 1.2e6
+
+    def test_all_unstable_is_infeasible(self, monkeypatch):
+        monkeypatch.setattr(search, "_hessian",
+                            lambda positions, centers, freqs, constants:
+                            -trap._hessian(positions, centers, freqs, constants))
+        result = g.maximize_J_multitrap(4e-6, small_space(), collect_trace=True)
+        assert not result.feasible and result.params is None
+        assert len(result.trace) == result.evaluations == 4 * 5 * 6
+        assert all(np.isnan(J) and not feas for _p, J, _eps, feas in result.trace)
+
+    def test_unequal_neighbor_couplings_raise(self, monkeypatch):
+        # stiffen the third ion's well only: J12 != J23 at every gradient
+        hessian = trap._hessian
+
+        def skewed(positions, centers, freqs, constants):
+            hess = hessian(positions, centers, freqs, constants)
+            hess[..., 2, 2] *= 1.01
+            return hess
+
+        monkeypatch.setattr(trap, "_hessian", skewed)
+        monkeypatch.setattr(search, "_hessian", skewed)
+        with pytest.raises(ValueError, match="nearest-neighbor couplings differ"):
+            sweep_search_oracle("multi", 4e-6, small_space())
+        with pytest.raises(ValueError, match="nearest-neighbor couplings differ"):
+            g.maximize_J_multitrap(4e-6, small_space())
+        with pytest.raises(ValueError, match="nearest-neighbor couplings differ"):
+            g.maximize_J_linear(4e-6, small_space())

@@ -110,10 +110,13 @@ class TestSolveEquilibrium:
     def test_linear_spacing_closed_form(self, rng):
         for _ in range(20):
             w = g.TWO_PI * rng.uniform(0.2e6, 3e6)
-            eq = g.solve_equilibrium(g.TrapLayout.linear(w))
-            # linear_spacing's ** (1/3) sits 3-6 ulp above the root
-            assert abs(eq.positions[2]) == pytest.approx(g.linear_spacing(w),
-                                                         rel=1e-15)
+            layout = g.TrapLayout.linear(w)
+            eq = g.solve_equilibrium(layout)
+            spacing = g.linear_spacing(w)
+            # np.cbrt of the same c; the Newton step may lower it by one ulp
+            assert abs(abs(eq.positions[2]) - spacing) <= np.spacing(spacing)
+            exact = exact_outer_displacement(layout)
+            assert abs(Fraction(spacing) - exact) <= exact * Fraction(2) ** -52
 
     def test_nonconvergence_is_diagnostic(self, monkeypatch):
         monkeypatch.setattr(util, "MAX_NEWTON_ITERATIONS", 1)
@@ -264,6 +267,21 @@ class TestLayoutValidation:
             g.TrapLayout.multi_trap(4e-6, bad, g.TWO_PI * 1e6)
         with pytest.raises(ValueError, match="finite"):
             g.TrapLayout.multi_trap(4e-6, g.TWO_PI * 1e6, bad)
+
+    def test_linear_centers_must_coincide_exactly(self):
+        # 5 nm is inside np.allclose's default atol, but it breaks the mirror
+        # symmetry the closed-form equilibrium relies on
+        with pytest.raises(ValueError, match="coincident"):
+            g.TrapLayout("linear", np.array([0.0, 5e-9, 0.0]),
+                         np.full(3, g.TWO_PI * 1e6), None)
+        with pytest.raises(ValueError, match="coincident"):
+            g.TrapLayout("linear", np.array([0.0, 0.0, 1e-300]),
+                         np.full(3, g.TWO_PI * 1e6), None)
+        shifted = g.TrapLayout("linear", np.full(3, 2e-6), np.full(3, g.TWO_PI * 1e6),
+                               None)
+        eq = g.solve_equilibrium(shifted)
+        assert eq.positions[1] == 2e-6
+        assert eq.residual <= 1e-15 * shifted.constants.coulomb / eq.h**2
 
     def test_non_finite_center_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -1,11 +1,13 @@
 """Shared test helpers: independent oracles and random-state generators."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 
 import gradion as g
+from gradion.search import CandidateParams, _better, _grid, _refined
 from gradion.trap import ConvergenceError, _gradient, _hessian, _potential
 
 I2 = np.eye(2, dtype=complex)
@@ -218,3 +220,88 @@ def exact_force_residual(layout, positions):
                 force += k / r**2 if r > 0 else -k / r**2
         forces.append(abs(force))
     return float(max(forces) * (z[1] - z[0]) ** 2 / k)
+
+
+def _sweep_gradient_oracle(base, grid, space, constants, best, trace):
+    """Evaluate every gradient of ``grid`` on the solved chain of ``base``.
+
+    ``best`` is None or ((J, eps_max, gradient), evaluation); the updated
+    best is returned. An infeasible base yields one rejection entry per grid
+    point. ``trace`` entries are (params, J, eps_max, feasible).
+    """
+    if not base.feasible:
+        if trace is not None:
+            trace.extend([(base.params, np.nan, np.nan, False)] * grid[2])
+        return best
+    for grad in _grid(grid):
+        grad = float(grad)
+        field = g.FieldConfig(gradient=grad, b0=space.b0, eta=space.eta)
+        couplings = g.compute_couplings(base.modes, field, base.equilibrium, constants)
+        feasible = couplings.eps_max < space.eps_ceiling
+        better = feasible and _better(couplings.J, couplings.eps_max, grad,
+                                      best and best[0])
+        if trace is None and not better:
+            continue
+        # params only for kept entries: a table1 sweep makes 15,360 evaluations
+        params = replace(base.params, gradient=grad)
+        if trace is not None:
+            trace.append((params, couplings.J, couplings.eps_max, feasible))
+        if better:
+            best = ((couplings.J, couplings.eps_max, grad),
+                    g.CandidateEvaluation(params, True, equilibrium=base.equilibrium,
+                                          modes=base.modes, couplings=couplings))
+    return best
+
+
+def _oracle_result(best_eval, evaluations, trace):
+    if best_eval is None:
+        return g.SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan,
+                              evaluations, False, trace)
+    c, eq = best_eval.couplings, best_eval.equilibrium
+    return g.SearchResult(best_eval.params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
+                          evaluations, True, trace)
+
+
+def sweep_search_oracle(mode, spacing, space=None, constants=g.DEFAULT_CONSTANTS,
+                        collect_trace=False):
+    """The per-point searches the row-array `_sweep_row` replaced, kept as its
+    reference: ``mode`` "multi" is `maximize_J_multitrap(spacing)`, "linear"
+    is `maximize_J_linear(spacing)`. Each grid point runs `compute_couplings`
+    on a chain solved once per trap-frequency pair."""
+    space = space or g.SearchSpace()
+    evaluations = 0
+    trace = [] if collect_trace else None
+    best = None  # ((J, eps, gradient), evaluation)
+    if mode == "multi":
+        d = spacing
+        stage_space = space
+        for _stage in range(2):
+            for w1 in _grid(stage_space.w1):
+                for w2 in _grid(stage_space.w2):
+                    base = g.evaluate_candidate(
+                        CandidateParams("multi", float(stage_space.gradient[0]),
+                                        d=d, w1=float(w1), w2=float(w2)),
+                        constants, b0=space.b0, eta=space.eta)
+                    best = _sweep_gradient_oracle(base, stage_space.gradient, space,
+                                                  constants, best, trace)
+                    evaluations += stage_space.gradient[2]
+            if best is None:
+                break
+            p = best[1].params
+            stage_space = replace(space,
+                                  w1=_refined(space.w1, p.w1),
+                                  w2=_refined(space.w2, p.w2),
+                                  gradient=_refined(space.gradient, p.gradient))
+        return _oracle_result(best[1] if best else None, evaluations,
+                              tuple(trace or ()))
+    w = g.linear_frequency_for_spacing(spacing, constants)
+    base = g.evaluate_candidate(CandidateParams("linear", float(space.gradient[0]), w=w),
+                                constants, b0=space.b0, eta=space.eta)
+    grid = space.gradient
+    for _stage in range(2):
+        best = _sweep_gradient_oracle(base, grid, space, constants, best, trace)
+        evaluations += grid[2]
+        if best is None:
+            break
+        grid = _refined(space.gradient, best[1].params.gradient)
+    return _oracle_result(best[1] if best else None, evaluations, tuple(trace or ()))
