@@ -28,6 +28,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -397,6 +398,7 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@cache  # built once per process; parsing leaves the tree unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradion",
@@ -450,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:

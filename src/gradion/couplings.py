@@ -206,28 +206,21 @@ def solve_chain(layout: TrapLayout, field: FieldConfig) -> Chain:
                  compute_couplings(modes, field, eq, layout.constants))
 
 
-def _signs(index: int) -> np.ndarray:
-    """sigma_z eigenvalues (s1, s2, s3) of basis state |b1 b2 b3>."""
-    bits = np.array([(index >> 2) & 1, (index >> 1) & 1, index & 1])
-    return 2.0 * bits - 1.0
-
-
-def spin_energy(couplings: CouplingSet, index: int) -> float:
-    """Closed-form energy of one basis state of the spin Hamiltonian.
-
-    E = sum_i w_i s_i / 2 - J s1 s2 / 2 - J s2 s3 / 2 - J13 s1 s3 / 2.
-    """
-    s = _signs(index)
-    return float(
-        0.5 * np.dot(couplings.w, s)
-        - 0.5 * couplings.J * (s[0] * s[1] + s[1] * s[2])
-        - 0.5 * couplings.J13 * s[0] * s[2]
-    )
+#: sigma_z eigenvalues (s1, s2, s3) of each basis state |b1 b2 b3>, one row
+#: per basis index
+_SIGNS = 2.0 * np.array([[(b >> 2) & 1, (b >> 1) & 1, b & 1]
+                         for b in range(BASIS_SIZE)]) - 1.0
 
 
 def spin_spectrum(couplings: CouplingSet) -> SpinSpectrum:
-    """All eight spin eigenenergies, indexed by 4*b1 + 2*b2 + b3."""
-    return SpinSpectrum(np.array([spin_energy(couplings, b) for b in range(BASIS_SIZE)]))
+    """All eight spin eigenenergies, indexed by 4*b1 + 2*b2 + b3.
+
+    E = sum_i w_i s_i / 2 - J s1 s2 / 2 - J s2 s3 / 2 - J13 s1 s3 / 2.
+    """
+    s1, s2, s3 = _SIGNS.T
+    return SpinSpectrum(0.5 * (_SIGNS @ couplings.w)
+                        - 0.5 * couplings.J * (s1 * s2 + s2 * s3)
+                        - 0.5 * couplings.J13 * s1 * s3)
 
 
 def carrier_spectrum(couplings: CouplingSet) -> CarrierSpectrum:

@@ -5,6 +5,11 @@ significant bit). Single-qubit matrices are written in the ordered basis
 (|0>, |1>) with sigma_z |1> = +|1>; sigma_y is fixed by
 U(theta, pi/2) = exp(i theta/2 sigma_y) for the pulse operator of
 `pulses.single_qubit_rotation`, i.e. sigma_y = -i(sigma_+ - sigma_-).
+
+`embed` builds a (x) b (x) c as one broadcast product of the three 2x2
+factors, (a_ij b_kl) c_mn at row 4i + 2k + m and column 4j + 2l + n. These
+are the products numpy's ``kron(kron(a, b), c)`` forms, in the same order,
+so every entry, signed zeros included, is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ def embed(op: np.ndarray, ion: int) -> np.ndarray:
         raise ValueError(f"ion index must be 1, 2, or 3, got {ion}")
     factors = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
     factors[ion - 1] = np.asarray(op, dtype=complex)
-    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+    a, b, c = factors
+    return ((a[:, None, None, :, None, None] * b[None, :, None, None, :, None])
+            * c[None, None, :, None, None, :]).reshape(8, 8)
 
 
 def pauli_z(ion: int) -> np.ndarray:

@@ -14,6 +14,7 @@ mirror-symmetric, so the equilibrium is the root of one scalar cubic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ class ConvergenceError(RuntimeError):
 
 class UnstableModesError(RuntimeError):
     """Hessian has a non-positive eigenvalue: configuration is not a stable minimum."""
+
+
+def _close(x: float, ref: float) -> bool:
+    """|x - ref| within 1e-12 of |ref|, with no absolute term."""
+    return abs(x - ref) <= 1e-12 * abs(ref)
 
 
 @dataclass(frozen=True)
@@ -68,22 +74,25 @@ class TrapLayout:
         object.__setattr__(self, "frequencies", freqs)
         if centers.shape != (3,) or freqs.shape != (3,):
             raise ValueError("layout needs exactly three trap centers and frequencies")
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(freqs))):
+        # scalar checks, relative only: an absolute term would swamp um spacings
+        zc, w = centers.tolist(), freqs.tolist()
+        if not all(math.isfinite(x) for x in zc + w):
             raise ValueError("trap centers and frequencies must be finite")
-        if np.any(freqs <= 0.0):
+        if any(x <= 0.0 for x in w):
             raise ValueError("trap frequencies must be strictly positive")
-        if not np.isclose(freqs[0], freqs[2], rtol=1e-12):
+        if not _close(w[0], w[2]):
             raise ValueError("outer trap frequencies W1 and W3 must be equal")
         if self.mode == "multi":
-            if self.d is None or self.d <= 0.0:
-                raise ValueError("multi-trap layout requires a positive trap spacing d")
-            spacing = np.diff(centers)
-            if np.any(spacing <= 0.0) or not np.allclose(spacing, self.d, rtol=1e-12):
+            d = self.d
+            if d is None or not 0.0 < d < math.inf:
+                raise ValueError("multi-trap layout requires a finite, positive trap spacing d")
+            steps = (zc[1] - zc[0], zc[2] - zc[1])
+            if not all(x > 0.0 and _close(x, d) for x in steps):
                 raise ValueError("multi-trap centers must increase in even steps of d")
         elif self.mode == "linear":
-            if not np.all(centers == centers[0]):
+            if not zc[0] == zc[1] == zc[2]:
                 raise ValueError("linear layout requires coincident trap centers")
-            if not np.allclose(freqs, freqs[0], rtol=1e-12):
+            if not all(_close(x, w[0]) for x in w):
                 raise ValueError("linear layout requires one common trap frequency")
         else:
             raise ValueError(f"unknown layout mode {self.mode!r}")

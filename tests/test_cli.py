@@ -309,3 +309,24 @@ class TestExitCodes:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["j_2pi_khz"] > 0
+
+    def test_repeated_main_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # main builds its parser once per process; every call after the first
+        # must still behave exactly as a fresh interpreter does
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        src = os.path.dirname(os.path.dirname(os.path.abspath(g.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (["couplings", "--no-such-flag"],
+                     ["--help"],
+                     ["couplings", "--preset", "table1-d4", "--format", "json"],
+                     ["teleport", "--mode", "scheduled", "--seed", "5"],
+                     ["teleport", "--alpha", "1", "--beta", "1"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "gradion.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (proc.returncode, proc.stdout, proc.stderr), argv

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradion as g
-from gradion.couplings import spin_energy
-
-from util import random_couplings, spin_hamiltonian_oracle
+from util import random_couplings, spin_energy_oracle, spin_hamiltonian_oracle
 
 
 class TestQubitFrequencies:
@@ -198,6 +196,23 @@ class TestSpinSpectrum:
             energies = g.spin_spectrum(couplings).energies
             assert np.max(np.abs(energies - diag)) <= 1e-12 * np.max(np.abs(diag))
 
+    def test_bit_identical_to_scalar_oracle(self, rng):
+        # every preset with randomised w, J and J13, in the lab frame and in
+        # the interaction frame (w = 0, where index 0 carries -0.0 terms)
+        from dataclasses import replace
+        cases = [random_couplings(rng) for _ in range(20)]
+        for name in sorted(g.PRESETS):
+            base = g.solve_chain(*g.preset_layout_field(name)).couplings
+            cases.append(base)
+            cases += [replace(base, w=base.w * rng.uniform(0.5, 2.0, 3),
+                              J=base.J * rng.uniform(0.1, 10.0),
+                              J13=base.J13 * rng.uniform(0.1, 10.0))
+                      for _ in range(50)]
+        for couplings in cases:
+            for c in (couplings, replace(couplings, w=np.zeros(3))):
+                oracle = np.array([spin_energy_oracle(c, b) for b in range(8)])
+                assert g.spin_spectrum(c).energies.tobytes() == oracle.tobytes()
+
     def test_excitation_order_listing(self, rng):
         couplings = random_couplings(rng)
         spectrum = g.spin_spectrum(couplings)
@@ -211,7 +226,7 @@ class TestCarrierSpectrum:
     def test_entries_are_spectrum_differences(self, rng):
         couplings = random_couplings(rng)
         spec = g.carrier_spectrum(couplings)
-        energies = [spin_energy(couplings, b) for b in range(8)]
+        energies = [spin_energy_oracle(couplings, b) for b in range(8)]
         for ion, bit in ((1, 2), (2, 1), (3, 0)):
             seen = []
             for low in range(8):

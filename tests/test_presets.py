@@ -33,7 +33,7 @@ class TestLayoutField:
         np.testing.assert_array_equal(layout.frequencies, np.full(3, w))
         assert field == g.FieldConfig(200.0, b0=0.8, eta=2e-6)
         eq = g.solve_equilibrium(layout)
-        assert eq.h == pytest.approx(4.5e-6, rel=1e-9)
+        assert eq.h == pytest.approx(4.5e-6, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("settings, message", [
         ({}, "no layout given"),

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import gradion as g
-from gradion.operators import max_unitarity_defect
+from gradion.operators import embed, max_unitarity_defect
+from gradion.pulses import rotation_2x2
 
 from util import (cnot_permutation, commensuration_scan_oracle, free_oracle,
-                  phase_aligned_deviation, pulse_oracle, random_couplings,
+                  embed3, phase_aligned_deviation, pulse_oracle, random_couplings,
                   schedule_oracle_unitary)
 
 CNOT_ANGLES = (0.5 * np.pi, np.pi, 3.5 * np.pi)
@@ -46,6 +47,20 @@ class TestSingleQubitRotation:
     def test_bad_ion_index(self):
         with pytest.raises(ValueError):
             g.single_qubit_rotation(0, np.pi, 0.0)
+
+    def test_embed_bytes_match_kron_oracle(self, rng):
+        # bytes, not values: the signed zeros of the Kronecker products feed
+        # every later product, so they must come out the same
+        ops = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+               for _ in range(50)]
+        ops += [rotation_2x2(theta, phi) for theta, phi in rng.uniform(-7, 7, (50, 2))]
+        ops += [rotation_2x2(0.0, 0.3), rotation_2x2(np.pi, -2.0),
+                np.array([[-0.0, 1j], [-1j, -0.0]]), np.array([[1, 0], [0, -1]]),
+                np.array([[0j, complex(-0.0, -0.0)], [complex(0.0, -0.0), 1]])]
+        for op in ops:
+            op = np.asarray(op, dtype=complex)
+            for ion in (1, 2, 3):
+                assert embed(op, ion).tobytes() == embed3(op, ion).tobytes()
 
     def test_unitarity(self, rng):
         for _ in range(20):
@@ -125,7 +140,7 @@ class TestRefocusedZZ:
         free_total = sum(i.duration for i in sched.items
                          if isinstance(i, g.FreeEvolution))
         assert free_total == pytest.approx(t, rel=1e-12)
-        assert sched.total_duration == pytest.approx(t + 4 * 2.5e-6, rel=1e-12)
+        assert sched.total_duration == pytest.approx(t + 4 * 2.5e-6, rel=1e-12, abs=0)
         # six pi pulses in four slots (the pair ions flip together)
         assert sum(1 for _ in sched.pulses()) == 6
         assert sum(1 for i in sched.items if isinstance(i, g.PulseSlot)) == 4

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import json
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +13,7 @@ from gradion.operators import embed, reduced_density
 from gradion.pulses import spin_energies
 from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
 
-from util import haar_qubit
+from util import embed3, haar_qubit, spin_energy_oracle
 
 
 def ideal_stages(state, names=("entangle", "encode", "rotate")):
@@ -433,6 +435,50 @@ class TestRecord:
 @lru_cache(maxsize=None)
 def preset_couplings(name):
     return g.solve_chain(*g.preset_layout_field(name)).couplings
+
+
+class TestKronFreeOperators:
+    """The broadcast `embed` and array `spin_spectrum` against their oracles."""
+
+    def test_records_match_kron_oracle(self, monkeypatch):
+        def run_all():
+            records = []
+            for name in sorted(g.PRESETS):
+                couplings = preset_couplings(name)
+                for mode in ("scheduled", "integrated"):
+                    for rates in ((0.0, 0.0, 0.0), (30.0, 5.0, 80.0)):
+                        for seed in (1, 2, 3):
+                            a, b = haar_qubit(np.random.default_rng(seed))
+                            config = g.ProtocolConfig(
+                                complex(a), complex(b), gate_mode=mode, seed=seed,
+                                couplings=couplings, dephasing=rates)
+                            records.append(g.run_teleport(config).to_json())
+            return records
+
+        fast = run_all()
+        for module in ("operators", "pulses", "integrate", "teleport"):
+            monkeypatch.setattr(importlib.import_module(f"gradion.{module}"),
+                                "embed", embed3)
+        monkeypatch.setattr(importlib.import_module("gradion.pulses"), "spin_spectrum",
+                            lambda c: g.SpinSpectrum(np.array(
+                                [spin_energy_oracle(c, b) for b in range(8)])))
+        assert fast == run_all()
+
+    @pytest.mark.parametrize("mode", ["scheduled", "integrated"])
+    def test_only_state_preparation_calls_kron(self, monkeypatch, d4_chain, mode):
+        # a kron back on the per-segment path would multiply this count
+        callers = []
+        kron = np.kron
+
+        def counting_kron(a, b):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return kron(a, b)
+
+        monkeypatch.setattr(np, "kron", counting_kron)
+        config = g.ProtocolConfig(0.6, 0.8j, gate_mode=mode, seed=4,
+                                  couplings=d4_chain.couplings, dephasing=(30.0, 5.0, 80.0))
+        g.run_teleport(config)
+        assert callers == ["product", "product"]
 
 
 @st.composite

@@ -84,7 +84,7 @@ class TestSolveEquilibrium:
         eq = g.solve_equilibrium(make_multi())
         assert eq.delta * 1e6 == pytest.approx(0.628, rel=0.01)
         assert eq.h * 1e6 == pytest.approx(4.628, rel=0.01)
-        assert eq.h == pytest.approx(4e-6 + eq.delta, rel=1e-12)
+        assert eq.h == pytest.approx(4e-6 + eq.delta, rel=1e-12, abs=0)
 
     def test_table3_h4_spacing(self):
         eq = g.solve_equilibrium(g.TrapLayout.linear(g.TWO_PI * 0.628e6))
@@ -255,6 +255,22 @@ class TestLayoutValidation:
             g.TrapLayout("multi", np.array([-4e-6, 0.0, 5e-6]),
                          np.full(3, g.TWO_PI * 1e6), 4e-6)
 
+    def test_spacing_check_is_relative_only(self):
+        # 0.8% uneven, yet within np.allclose's default atol of 1e-8 m; the
+        # closed-form equilibrium leaves a force residual on such a layout
+        w = g.TWO_PI * 1e6
+        with pytest.raises(ValueError, match="even steps"):
+            g.TrapLayout("multi", [-1e-6, 0.0, 1.008e-6], [w, w, w], 1e-6)
+        with pytest.raises(ValueError, match="even steps"):
+            g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w], 1.001e-6)
+        with pytest.raises(ValueError, match="W1 and W3"):
+            g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w * (1 + 1e-11)], 1e-6)
+        for d in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite, positive trap spacing"):
+                g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w], d)
+        g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w * (1 + 1e-13)],
+                     1e-6 * (1 + 1e-13))
+
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             g.TrapLayout.linear(-1.0)
@@ -292,4 +308,4 @@ class TestLayoutValidation:
 
     def test_frequency_for_spacing_inverts_spacing(self):
         w = g.linear_frequency_for_spacing(4e-6)
-        assert g.linear_spacing(w) == pytest.approx(4e-6, rel=1e-12)
+        assert g.linear_spacing(w) == pytest.approx(4e-6, rel=1e-12, abs=0)

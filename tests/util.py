@@ -44,6 +44,28 @@ def drive_hamiltonian_oracle(ion, phi, rabi):
     return -0.5 * rabi * embed3(np.exp(-1j * phi) * SP2 + np.exp(1j * phi) * SM2, ion)
 
 
+def _signs(index: int) -> np.ndarray:
+    """sigma_z eigenvalues (s1, s2, s3) of basis state |b1 b2 b3>."""
+    bits = np.array([(index >> 2) & 1, (index >> 1) & 1, index & 1])
+    return 2.0 * bits - 1.0
+
+
+def spin_energy_oracle(couplings, index: int) -> float:
+    """Closed-form energy of one basis state of the spin Hamiltonian.
+
+    E = sum_i w_i s_i / 2 - J s1 s2 / 2 - J s2 s3 / 2 - J13 s1 s3 / 2.
+
+    The per-state form `couplings.spin_spectrum` replaced, kept as its
+    reference.
+    """
+    s = _signs(index)
+    return float(
+        0.5 * np.dot(couplings.w, s)
+        - 0.5 * couplings.J * (s[0] * s[1] + s[1] * s[2])
+        - 0.5 * couplings.J13 * s[0] * s[2]
+    )
+
+
 def free_oracle(w, J, J13, t):
     return expm(-1j * spin_hamiltonian_oracle(w, J, J13) * t)
 
