@@ -129,9 +129,13 @@ def _chain(settings: dict) -> Chain:
 
 
 def _pulse_timing(settings: dict) -> dict:
-    """Slot time t_m and nominal Rabi frequency, in s and rad/s."""
-    return {"t_m": settings.get("t_m_us", 2.5) * 1e-6,
-            "rabi": TWO_PI * settings.get("rabi_2pi_mhz", 1.0) * 1e6}
+    """Slot time t_m (s) and Rabi frequency (rad/s) if set; else library defaults."""
+    timing = {}
+    if "t_m_us" in settings:
+        timing["t_m"] = settings["t_m_us"] * 1e-6
+    if "rabi_2pi_mhz" in settings:
+        timing["rabi"] = TWO_PI * settings["rabi_2pi_mhz"] * 1e6
+    return timing
 
 
 def _plain(value):
@@ -290,9 +294,8 @@ def cmd_spectrum(args) -> int:
 
 
 def _search_space(settings: dict) -> SearchSpace:
-    return SearchSpace(eps_ceiling=settings.get("eps_ceiling", 0.05),
-                       b0=settings.get("b0_t", 1.0),
-                       eta=settings.get("eta", 1e-6))
+    names = (("eps_ceiling", "eps_ceiling"), ("b0_t", "b0"), ("eta", "eta"))
+    return SearchSpace(**{name: settings[k] for k, name in names if k in settings})
 
 
 def cmd_table1(args) -> int:

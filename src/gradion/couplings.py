@@ -4,7 +4,7 @@ A static magnetic gradient along the chain makes each qubit's transition
 frequency position dependent. In the strong-field (Paschen-Back) regime the
 slope is the same for every ion,
 
-    dw/dz = 2 mu_B B' / hbar,
+    dw/dz = g mu_B B' / hbar,
 
 and the gradient couples the spins through the shared vibrational modes:
 
@@ -29,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
+from .operators import Z_SIGNS
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, normal_modes,
                    solve_equilibrium)
-
-#: basis index of |b1 b2 b3> is 4*b1 + 2*b2 + b3
-BASIS_SIZE = 8
 
 #: basis indices sorted by excitation number, then by position of the
 #: excited ion: 000, 100, 010, 001, 110, 101, 011, 111
@@ -55,7 +53,6 @@ class FieldConfig:
     eta: float = 1e-6
 
     def __post_init__(self) -> None:
-        # scalar checks: the search builds one FieldConfig per evaluation
         if not (math.isfinite(self.gradient) and math.isfinite(self.b0)
                 and math.isfinite(self.eta)):
             raise ValueError("field gradient, b0 and eta must be finite")
@@ -109,15 +106,21 @@ class CarrierSpectrum:
     spreads: np.ndarray  # rad/s, shape (3,)
 
 
+def frequency_gradient(gradient, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """dw/dz = g mu_B B' / hbar in rad/(s m) for a field gradient B' in T/m,
+    scalar or array; ``gradient=1.0`` gives the frequency shift per tesla."""
+    return constants.g_factor * constants.mu_b * gradient / constants.hbar
+
+
 def qubit_frequencies(field: FieldConfig, eq: EquilibriumSolution,
                       constants: PhysicalConstants = DEFAULT_CONSTANTS,
                       ) -> tuple[np.ndarray, float]:
     """Position-dependent qubit frequencies and their common gradient.
 
-    w_i = w_hf + (2 mu_B / hbar) (b0 + B' z0_i);  dw/dz = 2 mu_B B' / hbar.
+    w_i = w_hf + (g mu_B / hbar) (b0 + B' z0_i);  dw/dz = g mu_B B' / hbar.
     """
-    dwdz = 2.0 * constants.mu_b * field.gradient / constants.hbar
-    w = constants.hyperfine + (2.0 * constants.mu_b / constants.hbar) * (
+    dwdz = frequency_gradient(field.gradient, constants)
+    w = constants.hyperfine + frequency_gradient(1.0, constants) * (
         field.b0 + field.gradient * eq.positions)
     return w, float(dwdz)
 
@@ -138,7 +141,7 @@ def effective_lamb_dicke(modes: NormalModes, field: FieldConfig,
     eps is stored signed (the mode-matrix entry carries its sign); the
     validity ceiling applies to |eps|.
     """
-    dwdz = 2.0 * constants.mu_b * field.gradient / constants.hbar
+    dwdz = frequency_gradient(field.gradient, constants)
     eps = _lamb_dicke_matrix(modes.D, modes.nu, dwdz, constants)
     eta_prime = np.sqrt(field.eta**2 + eps**2)
     return eps, float(np.max(np.abs(eps))), eta_prime
@@ -206,36 +209,22 @@ def solve_chain(layout: TrapLayout, field: FieldConfig) -> Chain:
                  compute_couplings(modes, field, eq, layout.constants))
 
 
-#: sigma_z eigenvalues (s1, s2, s3) of each basis state |b1 b2 b3>, one row
-#: per basis index
-_SIGNS = 2.0 * np.array([[(b >> 2) & 1, (b >> 1) & 1, b & 1]
-                         for b in range(BASIS_SIZE)]) - 1.0
-
-
 def spin_spectrum(couplings: CouplingSet) -> SpinSpectrum:
     """All eight spin eigenenergies, indexed by 4*b1 + 2*b2 + b3.
 
     E = sum_i w_i s_i / 2 - J s1 s2 / 2 - J s2 s3 / 2 - J13 s1 s3 / 2.
     """
-    s1, s2, s3 = _SIGNS.T
-    return SpinSpectrum(0.5 * (_SIGNS @ couplings.w)
+    s1, s2, s3 = Z_SIGNS.T
+    return SpinSpectrum(0.5 * (Z_SIGNS @ couplings.w)
                         - 0.5 * couplings.J * (s1 * s2 + s2 * s3)
                         - 0.5 * couplings.J13 * s1 * s3)
 
 
 def carrier_spectrum(couplings: CouplingSet) -> CarrierSpectrum:
     """Conditional carrier frequencies: spectrum differences flipping one bit."""
-    spectrum = spin_spectrum(couplings).energies
-    transitions = np.empty((3, 4))
-    for ion in range(3):
-        bit = 2 - ion  # ion 1 owns the most significant bit
-        others = [b for b in range(3) if b != ion]
-        for k in range(4):
-            partial = [(k >> 1) & 1, k & 1]
-            bits = [0, 0, 0]
-            bits[others[0]], bits[others[1]] = partial
-            low = (bits[0] << 2) | (bits[1] << 1) | bits[2]
-            transitions[ion, k] = spectrum[low | (1 << bit)] - spectrum[low]
+    E = spin_spectrum(couplings).energies
+    # ion i's s_i = -1 and s_i = +1 states pair up in index order, the order of k
+    transitions = np.array([E[s > 0] - E[s < 0] for s in Z_SIGNS.T])
     spreads = transitions.max(axis=1) - transitions.min(axis=1)
     return CarrierSpectrum(transitions, spreads)
 

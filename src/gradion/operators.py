@@ -10,14 +10,23 @@ U(theta, pi/2) = exp(i theta/2 sigma_y) for the pulse operator of
 factors, (a_ij b_kl) c_mn at row 4i + 2k + m and column 4j + 2l + n. These
 are the products numpy's ``kron(kron(a, b), c)`` forms, in the same order,
 so every entry, signed zeros included, is bit-identical to it.
+
+`Z_SIGNS` is the one encoding of the basis diagonal: row 4*b1 + 2*b2 + b3
+holds the sigma_z eigenvalues (s1, s2, s3) of |b1 b2 b3>, so the diagonal
+of the 8x8 sigma_z on ion i is the column ``Z_SIGNS[:, i - 1]``. The spin
+spectrum, the carrier table, phase damping and `cnot_matrix` read it.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
+Z_SIGNS = np.array(list(product((-1.0, 1.0), repeat=3)))
+Z_SIGNS.flags.writeable = False
+
 IDENTITY_2 = np.eye(2, dtype=complex)
-SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 HADAMARD_2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
@@ -32,19 +41,14 @@ def embed(op: np.ndarray, ion: int) -> np.ndarray:
             * c[None, None, :, None, None, :]).reshape(8, 8)
 
 
-def pauli_z(ion: int) -> np.ndarray:
-    return embed(SIGMA_Z, ion)
-
-
 def cnot_matrix(control: int, target: int) -> np.ndarray:
-    """Canonical CNOT permutation: flips the target bit when the control bit is 1."""
+    """Canonical CNOT permutation: flips the target bit (1 << (3 - target)) when
+    the control bit is 1."""
     if control == target or control not in (1, 2, 3) or target not in (1, 2, 3):
         raise ValueError("control and target must be distinct ions in 1..3")
+    b = np.arange(8)
     U = np.zeros((8, 8), dtype=complex)
-    for b in range(8):
-        bits = [(b >> 2) & 1, (b >> 1) & 1, b & 1]
-        bits[target - 1] ^= bits[control - 1]
-        U[(bits[0] << 2) | (bits[1] << 1) | bits[2], b] = 1.0
+    U[b ^ (Z_SIGNS[:, control - 1] > 0) * (1 << (3 - target)), b] = 1.0
     return U
 
 

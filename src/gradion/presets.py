@@ -58,8 +58,8 @@ def layout_field(settings: dict,
     gradient = settings.get("gradient_t_per_m")
     if gradient is None:
         raise ValueError("no field gradient given (gradient_t_per_m)")
-    field = FieldConfig(gradient=gradient, b0=settings.get("b0_t", 1.0),
-                        eta=settings.get("eta", 1e-6))
+    given = {name: settings[k] for k, name in (("b0_t", "b0"), ("eta", "eta")) if k in settings}
+    field = FieldConfig(gradient=gradient, **given)
     if mode == "multi":
         for key in ("d_um", "w1_2pi_mhz", "w2_2pi_mhz"):
             if key not in settings:

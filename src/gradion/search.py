@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
 from .couplings import (CouplingSet, FieldConfig, _ising_matrix, _lamb_dicke_matrix,
-                        solve_chain)
+                        frequency_gradient, solve_chain)
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
                    _hessian, linear_frequency_for_spacing, solve_equilibrium)
 
@@ -167,7 +167,7 @@ def _sweep_row(layout: TrapLayout, center: np.ndarray, grid: tuple[float, float,
     if np.any(stable):
         nu = np.sqrt(evals[stable] / constants.mass)[:, np.newaxis]
         D = vecs[stable][:, np.newaxis]
-        dwdz = 2.0 * constants.mu_b * grads / constants.hbar
+        dwdz = frequency_gradient(grads, constants)
         J[stable] = _ising_matrix(D, nu, dwdz, constants)[..., 0, 1]
         eps_max[stable] = np.max(np.abs(_lamb_dicke_matrix(D, nu, dwdz, constants)),
                                  axis=(-2, -1))

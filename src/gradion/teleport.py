@@ -19,6 +19,9 @@ their stage schedules from the config's derived `PulseContext`.
 Optional per-qubit dephasing (phase damping applied after every step,
 scaled by its wall-clock duration) makes the register a density matrix;
 it requires a mode with durations, so "ideal" rejects nonzero rates.
+Damping qubit q maps rho to keep rho + (1 - keep) z rho z, and z rho z is
+the elementwise product of rho with the real +-1 mask
+outer(Z_SIGNS[:, q], Z_SIGNS[:, q]), since z is diagonal.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .couplings import CouplingSet
 from .integrate import integrate_segment_unitary, segment_hamiltonians
-from .operators import cnot_matrix, embed, hadamard_matrix, pauli_z, reduced_density
+from .operators import Z_SIGNS, cnot_matrix, embed, hadamard_matrix, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
                      hadamard_schedule, segment_unitary)
@@ -56,7 +59,7 @@ IDEAL_STAGES = {
     "rotate": hadamard_matrix(1),
 }
 
-_PAULI_Z = tuple(pauli_z(ion) for ion in (1, 2, 3))
+_Z_MASKS = tuple(np.outer(s, s) for s in Z_SIGNS.T)
 
 
 def _check_amplitudes(alpha: complex, beta: complex) -> None:
@@ -227,10 +230,10 @@ class _Register:
             self.state = U @ self.state
             return
         rho = U @ self.state @ U.conj().T
-        for z, rate in zip(_PAULI_Z, self.rates):
+        for mask, rate in zip(_Z_MASKS, self.rates):
             if rate > 0.0 and wall > 0.0:
                 keep = 0.5 * (1.0 + np.exp(-rate * wall))
-                rho = keep * rho + (1.0 - keep) * (z @ rho @ z)
+                rho = keep * rho + (1.0 - keep) * (mask * rho)
         self.state = rho
 
     def measure(self, rng: np.random.Generator,

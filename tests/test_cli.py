@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradion as g
+from gradion import verify
 from gradion.cli import CONFIG_KEYS, load_config, main
 
 
@@ -126,6 +127,17 @@ class TestCouplingsCommand:
                                       "--format", "json"])
         assert out1 == out2
 
+    def test_g_factor_from_config(self, capsys, tmp_path):
+        path = tmp_path / "g.cfg"
+        path.write_text("g_factor = 1.0\n")
+        argv = ["couplings", "--preset", "table1-d4", "--format", "json"]
+        _, out, _ = run_cli(capsys, argv)
+        _, half, _ = run_cli(capsys, argv + ["--config", str(path)])
+        full, half = json.loads(out), json.loads(half)
+        assert half["j_2pi_khz"] == full["j_2pi_khz"] / 4
+        assert half["j13_2pi_khz"] == full["j13_2pi_khz"] / 4
+        assert half["eps_max"] == full["eps_max"] / 2
+
     def test_missing_layout_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, ["couplings"])
         assert code == 1
@@ -238,6 +250,30 @@ class TestTeleportCommand:
         payload = json.loads(out1)
         assert payload["fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert payload["total_duration_s"] == pytest.approx(7.7e-3, rel=0.03)
+
+
+    @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
+    def test_report_is_the_library_record(self, capsys, d4_chain, mode):
+        # no pulse setting given: the CLI must leave the library defaults alone
+        rate = 0.0 if mode == "ideal" else 30.0
+        code, out, _ = run_cli(capsys, ["teleport", "--mode", mode, "--seed", "1",
+                                        "--alpha", "0.6", "--beta", "0.8j",
+                                        "--dephasing-rate-hz", str(rate)])
+        config = g.ProtocolConfig(
+            alpha=complex("0.6"), beta=complex("0.8j"), gate_mode=mode, seed=1,
+            couplings=None if mode == "ideal" else d4_chain.couplings,
+            dephasing=(rate,) * 3)
+        assert code == 0
+        assert out == g.run_teleport(config).to_json() + "\n"
+
+
+class TestVerifyCommand:
+    def test_every_check_passes(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify"])
+        assert code == 0
+        checks = verify.run_all()
+        assert all(ok for _, ok, _ in checks), [c for c in checks if not c[1]]
+        assert out.splitlines()[-1] == f"{len(checks)}/{len(checks)} checks passed"
 
 
 class TestExitCodes:

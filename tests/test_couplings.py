@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradion as g
-from util import random_couplings, spin_energy_oracle, spin_hamiltonian_oracle
+from gradion.operators import Z_SIGNS, cnot_matrix
+from util import (SZ2, carrier_spectrum_oracle, cnot_permutation, embed3,
+                  random_couplings, spin_energy_oracle, spin_hamiltonian_oracle)
 
 
 class TestQubitFrequencies:
@@ -30,6 +34,22 @@ class TestQubitFrequencies:
             == pytest.approx(2 * shift, rel=1e-12)
         with pytest.raises(ValueError):
             g.neighbor_resonance_shift(g.FieldConfig(500.0), -1e-6)
+
+    @pytest.mark.parametrize("name", sorted(g.PRESETS))
+    def test_g_factor_scales_couplings_exactly(self, name):
+        # dw/dz is linear in g, so halving g halves eps and quarters J, exactly
+        half = replace(g.DEFAULT_CONSTANTS, g_factor=1.0)
+        layout, field = g.preset_layout_field(name)
+        layout_half, _ = g.preset_layout_field(name, half)
+        for gradient in np.linspace(10.0, 2000.0, 25):
+            field = replace(field, gradient=float(gradient))
+            full = g.solve_chain(layout, field).couplings
+            c = g.solve_chain(layout_half, field).couplings
+            assert c.dwdz == full.dwdz / 2
+            assert c.J == full.J / 4
+            assert c.J13 == full.J13 / 4
+            assert np.array_equal(c.eps, full.eps / 2)
+            assert c.eps_max == full.eps_max / 2
 
 
 class TestFieldValidation:
@@ -180,7 +200,6 @@ class TestSpinSpectrum:
 
     def test_decoupled_limit(self, rng):
         couplings = random_couplings(rng)
-        from dataclasses import replace
         bare = replace(couplings, J=0.0, J13=0.0)
         spectrum = g.spin_spectrum(bare)
         for b in range(8):
@@ -199,7 +218,6 @@ class TestSpinSpectrum:
     def test_bit_identical_to_scalar_oracle(self, rng):
         # every preset with randomised w, J and J13, in the lab frame and in
         # the interaction frame (w = 0, where index 0 carries -0.0 terms)
-        from dataclasses import replace
         cases = [random_couplings(rng) for _ in range(20)]
         for name in sorted(g.PRESETS):
             base = g.solve_chain(*g.preset_layout_field(name)).couplings
@@ -222,7 +240,39 @@ class TestSpinSpectrum:
         assert listed[-1] == spectrum.energies[7]
 
 
+class TestSignTable:
+    def test_columns_are_pauli_z_diagonals(self):
+        for ion in (1, 2, 3):
+            diagonal = np.diagonal(embed3(SZ2, ion))
+            assert np.array_equal(Z_SIGNS[:, ion - 1], diagonal.real)
+            assert not np.any(diagonal.imag)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            Z_SIGNS[0, 0] = 1.0
+
+    def test_cnot_matrix_bytes_match_bit_loop_oracle(self):
+        for control in (1, 2, 3):
+            for target in (1, 2, 3):
+                if control == target:
+                    with pytest.raises(ValueError):
+                        cnot_matrix(control, target)
+                    continue
+                assert (cnot_matrix(control, target).tobytes()
+                        == cnot_permutation(control, target).tobytes())
+
+
 class TestCarrierSpectrum:
+    def test_bytes_match_bit_loop_oracle(self, rng):
+        sets = [g.solve_chain(*g.preset_layout_field(name)).couplings
+                for name in sorted(g.PRESETS)]
+        sets += [random_couplings(rng, w_scale) for w_scale in (1e3, 1e7, 1e11)
+                 for _ in range(100)]
+        for couplings in sets:
+            spec, oracle = g.carrier_spectrum(couplings), carrier_spectrum_oracle(couplings)
+            assert spec.transitions.tobytes() == oracle.transitions.tobytes()
+            assert spec.spreads.tobytes() == oracle.spreads.tobytes()
+
     def test_entries_are_spectrum_differences(self, rng):
         couplings = random_couplings(rng)
         spec = g.carrier_spectrum(couplings)
@@ -246,7 +296,6 @@ class TestCarrierSpectrum:
             2 * (couplings.J + couplings.J13), rel=1e-12)
 
     def test_degenerate_when_uncoupled(self, rng):
-        from dataclasses import replace
         couplings = replace(random_couplings(rng), J=0.0, J13=0.0)
         spec = g.carrier_spectrum(couplings)
         assert np.max(spec.spreads) == 0.0

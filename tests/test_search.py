@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ def small_space(**changes):
                 gradient=(100.0, 800.0, 6))
     base.update(changes)
     return g.SearchSpace(**base)
+
+
+class TestGFactor:
+    """eps scales as g and J as g^2, exactly for powers of two: at g = 1 the
+    search under ceiling c admits the points it admits at g = 2 under 2c."""
+
+    HALF = replace(g.DEFAULT_CONSTANTS, g_factor=1.0)
+
+    @pytest.mark.parametrize("search, spacing", [(g.maximize_J_linear, 4e-6),
+                                                 (g.maximize_J_multitrap, 4e-6)])
+    def test_search_honours_g_factor(self, search, spacing):
+        half = search(spacing, g.SearchSpace(), self.HALF)
+        full = search(spacing, g.SearchSpace(eps_ceiling=0.1))
+        assert half.params == full.params
+        assert half.J == full.J / 4
+        assert half.J13 == full.J13 / 4
+        assert half.eps_max == full.eps_max / 2
 
 
 class TestRowArraySearchMatchesOracle:

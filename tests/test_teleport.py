@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import gradion as g
 from gradion.operators import embed, reduced_density
 from gradion.pulses import spin_energies
-from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
+from gradion.teleport import (CORRECTIONS, _Register, correction_schedule,
+                              protocol_schedules)
 
-from util import embed3, haar_qubit, spin_energy_oracle
+from util import dense_evolve_oracle, embed3, haar_qubit, spin_energy_oracle
 
 
 def ideal_stages(state, names=("entangle", "encode", "rotate")):
@@ -438,7 +439,8 @@ def preset_couplings(name):
 
 
 class TestKronFreeOperators:
-    """The broadcast `embed` and array `spin_spectrum` against their oracles."""
+    """The broadcast `embed`, array `spin_spectrum` and sign-mask phase damping
+    against their oracles."""
 
     def test_records_match_kron_oracle(self, monkeypatch):
         def run_all():
@@ -446,7 +448,8 @@ class TestKronFreeOperators:
             for name in sorted(g.PRESETS):
                 couplings = preset_couplings(name)
                 for mode in ("scheduled", "integrated"):
-                    for rates in ((0.0, 0.0, 0.0), (30.0, 5.0, 80.0)):
+                    for rates in ((0.0, 0.0, 0.0), (30.0, 5.0, 80.0),
+                                  (0.0, 100.0, 0.0)):
                         for seed in (1, 2, 3):
                             a, b = haar_qubit(np.random.default_rng(seed))
                             config = g.ProtocolConfig(
@@ -462,6 +465,7 @@ class TestKronFreeOperators:
         monkeypatch.setattr(importlib.import_module("gradion.pulses"), "spin_spectrum",
                             lambda c: g.SpinSpectrum(np.array(
                                 [spin_energy_oracle(c, b) for b in range(8)])))
+        monkeypatch.setattr(_Register, "evolve", dense_evolve_oracle)
         assert fast == run_all()
 
     @pytest.mark.parametrize("mode", ["scheduled", "integrated"])

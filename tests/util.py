@@ -7,7 +7,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import gradion as g
-from gradion.search import CandidateParams, _better, _grid, _refined
+from gradion.search import CandidateParams
 from gradion.trap import ConvergenceError, _gradient, _hessian, _potential
 
 I2 = np.eye(2, dtype=complex)
@@ -42,6 +42,42 @@ def spin_hamiltonian_oracle(w, J, J13):
 def drive_hamiltonian_oracle(ion, phi, rabi):
     """Co-rotating drive -(rabi/2)(e^{-i phi} sigma_+ + e^{i phi} sigma_-) on one ion."""
     return -0.5 * rabi * embed3(np.exp(-1j * phi) * SP2 + np.exp(1j * phi) * SM2, ion)
+
+
+#: the dense sigma_z of each ion, built by Kronecker products
+PAULI_Z_ORACLE = tuple(embed3(SZ2, ion) for ion in (1, 2, 3))
+
+
+def dense_evolve_oracle(self, U, wall):
+    """`teleport._Register.evolve` with phase damping as the dense z @ rho @ z,
+    the form the sign masks replaced, kept as their reference."""
+    if not self.mixed:
+        self.state = U @ self.state
+        return
+    rho = U @ self.state @ U.conj().T
+    for z, rate in zip(PAULI_Z_ORACLE, self.rates):
+        if rate > 0.0 and wall > 0.0:
+            keep = 0.5 * (1.0 + np.exp(-rate * wall))
+            rho = keep * rho + (1.0 - keep) * (z @ rho @ z)
+    self.state = rho
+
+
+def carrier_spectrum_oracle(couplings):
+    """The bit-loop `couplings.carrier_spectrum` the sign-table form replaced,
+    kept as its reference."""
+    spectrum = g.spin_spectrum(couplings).energies
+    transitions = np.empty((3, 4))
+    for ion in range(3):
+        bit = 2 - ion  # ion 1 owns the most significant bit
+        others = [b for b in range(3) if b != ion]
+        for k in range(4):
+            partial = [(k >> 1) & 1, k & 1]
+            bits = [0, 0, 0]
+            bits[others[0]], bits[others[1]] = partial
+            low = (bits[0] << 2) | (bits[1] << 1) | bits[2]
+            transitions[ion, k] = spectrum[low | (1 << bit)] - spectrum[low]
+    spreads = transitions.max(axis=1) - transitions.min(axis=1)
+    return g.CarrierSpectrum(transitions, spreads)
 
 
 def _signs(index: int) -> np.ndarray:
@@ -242,6 +278,31 @@ def exact_force_residual(layout, positions):
                 force += k / r**2 if r > 0 else -k / r**2
         forces.append(abs(force))
     return float(max(forces) * (z[1] - z[0]) ** 2 / k)
+
+
+# Grid helpers of the search, copied so the oracle does not follow the code
+# it judges.
+
+def _grid(grid: tuple[float, float, int]) -> np.ndarray:
+    lo, hi, count = grid
+    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+
+
+def _refined(grid: tuple[float, float, int], best: float) -> tuple[float, float, int]:
+    lo, hi, count = grid
+    step = (hi - lo) / max(count - 1, 1)
+    return (max(lo, best - step), min(hi, best + step), count)
+
+
+def _better(j, eps, grad, best) -> bool:
+    if best is None:
+        return True
+    bj, beps, bgrad = best
+    if j != bj:
+        return j > bj
+    if eps != beps:
+        return eps < beps
+    return grad < bgrad
 
 
 def _sweep_gradient_oracle(base, grid, space, constants, best, trace):
