@@ -294,8 +294,9 @@ def cmd_spectrum(args) -> int:
 
 
 def _search_space(settings: dict) -> SearchSpace:
-    names = (("eps_ceiling", "eps_ceiling"), ("b0_t", "b0"), ("eta", "eta"))
-    return SearchSpace(**{name: settings[k] for k, name in names if k in settings})
+    if "eps_ceiling" in settings:
+        return SearchSpace(eps_ceiling=settings["eps_ceiling"])
+    return SearchSpace()
 
 
 def cmd_table1(args) -> int:

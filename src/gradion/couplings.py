@@ -8,11 +8,14 @@ slope is the same for every ion,
 
 and the gradient couples the spins through the shared vibrational modes:
 
-    J_ij   = sum_l  hbar / (2 m nu_l^2) D_il D_jl (dw/dz)^2
+    J_ij   = sum_l  hbar / (2 m nu_l^2) D_il D_jl (dw/dz)^2 = (hbar/2) (dw/dz)^2 [K^-1]_ij
     eps_il = D_il sqrt(hbar / (2 m nu_l)) (dw/dz) / nu_l
 
-eps_il plays the role of an extra Lamb-Dicke parameter; the model is valid
-while max |eps_il| stays well below 1 (0.05 is used as the design ceiling).
+with K the Hessian of the chain. J and J13 are taken from the closed-form
+entries of K^-1 that `normal_modes` carries, so J12 = J23 holds by
+construction. eps_il plays the role of an extra Lamb-Dicke parameter; the
+model is valid while max |eps_il| stays well below 1 (0.05 is used as the
+design ceiling).
 
 `solve_chain` runs layout -> equilibrium -> modes -> couplings as one `Chain`.
 
@@ -142,50 +145,41 @@ def effective_lamb_dicke(modes: NormalModes, field: FieldConfig,
     validity ceiling applies to |eps|.
     """
     dwdz = frequency_gradient(field.gradient, constants)
-    eps = _lamb_dicke_matrix(modes.D, modes.nu, dwdz, constants)
+    eps = modes.D * _lamb_dicke_scale(modes.nu, dwdz, constants)
     eta_prime = np.sqrt(field.eta**2 + eps**2)
     return eps, float(np.max(np.abs(eps))), eta_prime
 
 
-# The two helpers below broadcast over leading axes -- D (..., 3, 3), nu
-# (..., 3), dwdz (...) -- with the float operations of a single chain, so a
-# stack of chains and gradients gets values bit-identical to one at a time.
+# The two helpers below work elementwise on broadcast arrays of nu, [K^-1]
+# entries and dw/dz with the float operations of a single chain, so a search
+# stage gets values bit-identical to one chain and gradient at a time.
 
-def _lamb_dicke_matrix(D, nu, dwdz, constants) -> np.ndarray:
-    """Signed eps_il = D_il sqrt(hbar / (2 m nu_l)) (dw/dz) / nu_l."""
-    ground_width = np.sqrt(constants.hbar / (2.0 * constants.mass * nu))
-    return D * (ground_width * np.expand_dims(dwdz, -1) / nu)[..., np.newaxis, :]
+def _lamb_dicke_scale(nu, dwdz, constants):
+    """sqrt(hbar / (2 m nu_l)) (dw/dz) / nu_l, so that eps_il = D_il times it.
 
-
-def _ising_matrix(D, nu, dwdz, constants) -> np.ndarray:
-    """J_ij = (hbar/2) (dw/dz)^2 sum_l D_il D_jl / (m nu_l^2).
-
-    Raises ValueError wherever J12 != J23 (beyond 1e-8 relative).
-    ``float_power`` is libm's pow, the same as a Python float's ``**``.
+    It is non-negative, and rounding is monotonic, so max_il |eps_il| is
+    exactly max_l (max_i |D_il|) times it.
     """
-    inv_mnu2 = 1.0 / (constants.mass * nu**2)
-    scale = constants.hbar * 0.5 * np.float_power(dwdz, 2)
-    jmat = (np.expand_dims(scale, (-2, -1)) * (D * inv_mnu2[..., np.newaxis, :])
-            @ np.swapaxes(D, -2, -1))
-    j12, j23 = jmat[..., 0, 1], jmat[..., 1, 2]
-    tolerance = 1e-8 * np.maximum(np.maximum(np.abs(j12), np.abs(j23)), 1e-300)
-    if np.any(np.abs(j12 - j23) > tolerance):
-        raise ValueError(
-            "nearest-neighbor couplings differ; layout must keep W1 == W3")
-    return jmat
+    ground_width = np.sqrt(constants.hbar / (2.0 * constants.mass * nu))
+    return ground_width * dwdz / nu
+
+
+def _ising(kinv, dwdz, constants):
+    """J_ij = (hbar/2) (dw/dz)^2 [K^-1]_ij for an entry ``kinv`` of K^-1."""
+    return 0.5 * constants.hbar * (dwdz * dwdz) * kinv
 
 
 def compute_couplings(modes: NormalModes, field: FieldConfig, eq: EquilibriumSolution,
                       constants: PhysicalConstants = DEFAULT_CONSTANTS) -> CouplingSet:
     """Assemble the full coupling set for a solved chain.
 
-    The mode sum for J_ij equals (hbar/2) (dw/dz)^2 [K^-1]_ij with K the
-    Hessian, so J is invariant under any per-column sign flip of D.
+    J and J13 follow from [K^-1]_12 and [K^-1]_13, so they are invariant
+    under any per-column sign flip of D.
     """
     w, dwdz = qubit_frequencies(field, eq, constants)
-    jmat = _ising_matrix(modes.D, modes.nu, dwdz, constants)
     eps, eps_max, eta_prime = effective_lamb_dicke(modes, field, constants)
-    return CouplingSet(w=w, dwdz=dwdz, J=float(jmat[0, 1]), J13=float(jmat[0, 2]),
+    return CouplingSet(w=w, dwdz=dwdz, J=float(_ising(modes.kinv12, dwdz, constants)),
+                       J13=float(_ising(modes.kinv13, dwdz, constants)),
                        eps=eps, eps_max=eps_max, eta=field.eta, eta_prime=eta_prime)
 
 
@@ -209,15 +203,16 @@ def solve_chain(layout: TrapLayout, field: FieldConfig) -> Chain:
                  compute_couplings(modes, field, eq, layout.constants))
 
 
-def spin_spectrum(couplings: CouplingSet) -> SpinSpectrum:
-    """All eight spin eigenenergies, indexed by 4*b1 + 2*b2 + b3.
-
-    E = sum_i w_i s_i / 2 - J s1 s2 / 2 - J s2 s3 / 2 - J13 s1 s3 / 2.
-    """
+def _spin_diagonal(w, J: float, J13: float) -> np.ndarray:
+    """E = sum_i w_i s_i / 2 - J s1 s2 / 2 - J s2 s3 / 2 - J13 s1 s3 / 2 for
+    every basis state, indexed by 4*b1 + 2*b2 + b3."""
     s1, s2, s3 = Z_SIGNS.T
-    return SpinSpectrum(0.5 * (Z_SIGNS @ couplings.w)
-                        - 0.5 * couplings.J * (s1 * s2 + s2 * s3)
-                        - 0.5 * couplings.J13 * s1 * s3)
+    return 0.5 * (Z_SIGNS @ w) - 0.5 * J * (s1 * s2 + s2 * s3) - 0.5 * J13 * s1 * s3
+
+
+def spin_spectrum(couplings: CouplingSet) -> SpinSpectrum:
+    """All eight spin eigenenergies, indexed by 4*b1 + 2*b2 + b3."""
+    return SpinSpectrum(_spin_diagonal(couplings.w, couplings.J, couplings.J13))
 
 
 def carrier_spectrum(couplings: CouplingSet) -> CarrierSpectrum:

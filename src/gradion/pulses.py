@@ -29,12 +29,12 @@ Sign conventions (sigma_z |1> = +|1>) make two identities hold exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import TWO_PI
-from .couplings import CouplingSet, spin_spectrum
+from .couplings import CouplingSet, _spin_diagonal
 from .operators import embed
 
 LAB = "lab"
@@ -167,10 +167,12 @@ def single_qubit_rotation(ion: int, theta: float, phi: float) -> np.ndarray:
 def spin_energies(couplings: CouplingSet, frame: str) -> np.ndarray:
     """Diagonal of the spin Hamiltonian; the interaction frame drops the w_i terms."""
     if frame == INTERACTION:
-        couplings = replace(couplings, w=np.zeros(3))
-    elif frame != LAB:
+        w = np.zeros(3)
+    elif frame == LAB:
+        w = couplings.w
+    else:
         raise ValueError(f"unknown frame {frame!r}")
-    return spin_spectrum(couplings).energies
+    return _spin_diagonal(w, couplings.J, couplings.J13)
 
 
 def free_evolution(couplings: CouplingSet, t: float, frame: str = INTERACTION) -> np.ndarray:

@@ -4,11 +4,15 @@ Two-stage exhaustive grid search over trap frequencies and field gradient,
 subject to a stable equilibrium and a ceiling on the effective Lamb-Dicke
 parameter (default 0.05). J grows monotonically with the gradient at fixed
 trap frequencies, so each constrained optimum sits at the largest feasible
-gradient; the grids are still swept exhaustively. Both searches evaluate a
-stage one W1 row at a time through `_sweep_row`: one equilibrium per W1 (it
-depends on neither W2 nor the gradient), one batched ``eigh`` over the W2
-axis, and J and eps_max as (W2, gradient) arrays. Only the winner is solved
-as a full chain, by `evaluate_candidate`, for the reported numbers.
+gradient; the grids are still swept exhaustively. Each stage is one
+`_sweep_stage` over (W1, W2, gradient) arrays: one elementwise Newton solve
+gives the outer displacement of every W1 (it depends on neither W2 nor the
+gradient), the closed-form modes and [K^-1]_12 of every (W1, W2) chain
+follow elementwise, and so do J and eps_max at every gradient, with no
+eigensolver and no matrix product. Only the winner is solved as a full
+chain, by `evaluate_candidate`, for the reported numbers. J and eps_max do
+not depend on the field offset b0 or on eta; candidates take both from
+`FieldConfig`'s defaults.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
-from .couplings import (CouplingSet, FieldConfig, _ising_matrix, _lamb_dicke_matrix,
+from .couplings import (CouplingSet, FieldConfig, _ising, _lamb_dicke_scale,
                         frequency_gradient, solve_chain)
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
-                   _hessian, linear_frequency_for_spacing, solve_equilibrium)
+                   _chain_modes, _outer_displacement, linear_frequency_for_spacing)
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,6 @@ class SearchSpace:
     w2: tuple[float, float, int] = (TWO_PI * 0.05e6, TWO_PI * 3.0e6, 16)
     gradient: tuple[float, float, int] = (50.0, 1500.0, 30)
     eps_ceiling: float = 0.05
-    b0: float = 1.0
-    eta: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("w1", "w2", "gradient"):
@@ -94,14 +96,14 @@ def _layout(params: CandidateParams, constants: PhysicalConstants) -> TrapLayout
 
 def evaluate_candidate(params: CandidateParams,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                       b0: float = 1.0, eta: float = 1e-6) -> CandidateEvaluation:
-    """Run trap -> equilibrium -> modes -> couplings for one parameter point.
+                       ) -> CandidateEvaluation:
+    """Run trap -> equilibrium -> modes -> couplings for one parameter point,
+    in a `FieldConfig` of the point's gradient.
 
     Unstable mode spectra mark the point infeasible instead of raising.
     """
-    field = FieldConfig(gradient=params.gradient, b0=b0, eta=eta)
     try:
-        chain = solve_chain(_layout(params, constants), field)
+        chain = solve_chain(_layout(params, constants), FieldConfig(params.gradient))
     except UnstableModesError as exc:
         return CandidateEvaluation(params, False, reason=str(exc))
     return CandidateEvaluation(params, True, equilibrium=chain.equilibrium,
@@ -131,66 +133,64 @@ def _better(j, eps, grad, best) -> bool:
 
 
 def _result_from(params: CandidateParams | None, evaluations: int, trace: tuple,
-                 space: SearchSpace, constants: PhysicalConstants) -> SearchResult:
+                 constants: PhysicalConstants) -> SearchResult:
     if params is None:
         return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan,
                             evaluations, False, trace)
-    winner = evaluate_candidate(params, constants, b0=space.b0, eta=space.eta)
+    winner = evaluate_candidate(params, constants)
     c, eq = winner.couplings, winner.equilibrium
     return SearchResult(params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
                         evaluations, True, trace)
 
 
-def _sweep_row(layout: TrapLayout, center: np.ndarray, grid: tuple[float, float, int],
-               params, space: SearchSpace, constants: PhysicalConstants, best,
-               trace: list | None):
-    """Evaluate one W1 row of a stage: ``layout`` with each center frequency of
-    ``center`` in turn, at every gradient of ``grid``, as arrays.
+def _sweep_stage(d: float, w1s: np.ndarray, w2s: np.ndarray,
+                 grid: tuple[float, float, int], params, space: SearchSpace,
+                 constants: PhysicalConstants, best, trace: list | None):
+    """Evaluate one stage: the chain of spacing ``d`` (0 in a linear trap) for
+    every outer frequency of ``w1s`` and center frequency of ``w2s``, at every
+    gradient of ``grid``, as (W1, W2, gradient) arrays.
 
-    The equilibrium is solved once (it does not depend on W2), the Hessians
-    are diagonalized in one batched ``eigh``, and J and eps_max come from the
-    couplings module's own expressions, so every value is bit-identical to
-    `evaluate_candidate` at that point. ``params(i, gradient)`` names point i
-    of the row. ``best`` is None or ((J, eps_max, gradient), params); the
-    updated best is returned. ``trace`` entries are (params, J, eps_max,
-    feasible), in iteration order; an unstable center frequency yields one
-    rejection entry (params(i, grid lo), nan, nan, False) per grid point.
+    Every value comes from the helpers `solve_equilibrium`, `normal_modes`
+    and `compute_couplings` use, elementwise, so it is bit-identical to
+    `evaluate_candidate` at that point. ``params(i, j, gradient)`` names
+    point (i, j) of the stage. ``best`` is None or ((J, eps_max, gradient),
+    params); the updated best is returned. ``trace`` entries are (params, J,
+    eps_max, feasible), in (W1, W2, gradient) order; an unstable chain
+    yields one rejection entry (params(i, j, grid lo), nan, nan, False) per
+    grid point.
     """
     grads = _grid(grid)
-    eq = solve_equilibrium(layout)
-    freqs = np.tile(layout.frequencies, (len(center), 1))
-    freqs[:, 1] = center
-    evals, vecs = np.linalg.eigh(_hessian(eq.positions, layout.centers, freqs, constants))
+    delta, _steps = _outer_displacement(w1s, d, constants)
+    evals, D, kinv12, _kinv13 = _chain_modes(w1s[:, np.newaxis], w2s,
+                                             (d + delta)[:, np.newaxis], constants)
     stable = ~np.any(evals <= 0.0, axis=-1)  # normal_modes' stability check
-    J = np.full((len(center), len(grads)), np.nan)
-    eps_max = J.copy()
-    if np.any(stable):
-        nu = np.sqrt(evals[stable] / constants.mass)[:, np.newaxis]
-        D = vecs[stable][:, np.newaxis]
-        dwdz = frequency_gradient(grads, constants)
-        J[stable] = _ising_matrix(D, nu, dwdz, constants)[..., 0, 1]
-        eps_max[stable] = np.max(np.abs(_lamb_dicke_matrix(D, nu, dwdz, constants)),
-                                 axis=(-2, -1))
+    evals = np.where(stable[..., np.newaxis], evals, np.nan)
+    dwdz = frequency_gradient(grads, constants)
+    J = _ising(kinv12[..., np.newaxis], dwdz, constants)
+    # mode axis first, so that the max over modes is a max of whole arrays
+    nu = np.sqrt(np.moveaxis(evals, -1, 0) / constants.mass)[..., np.newaxis]
+    column_max = np.moveaxis(np.max(np.abs(D), axis=-2), -1, 0)[..., np.newaxis]
+    eps_max = np.max(column_max * _lamb_dicke_scale(nu, dwdz, constants), axis=0)
     feasible = eps_max < space.eps_ceiling
     if trace is not None:
-        lo = float(grid[0])
-        for i in range(len(center)):
-            if not stable[i]:
-                trace.extend([(params(i, lo), np.nan, np.nan, False)] * len(grads))
+        lo, grad_list = float(grid[0]), grads.tolist()
+        for i, j in np.ndindex(stable.shape):
+            if not stable[i, j]:
+                trace.extend([(params(i, j, lo), np.nan, np.nan, False)] * len(grads))
                 continue
-            trace.extend((params(i, float(grad)), float(J[i, k]), float(eps_max[i, k]),
-                          bool(feasible[i, k])) for k, grad in enumerate(grads))
+            trace.extend(zip((params(i, j, grad) for grad in grad_list), J[i, j].tolist(),
+                             eps_max[i, j].tolist(), feasible[i, j].tolist()))
     if not np.any(feasible):
         return best
-    # the row's best feasible point in _better's order: J descending, eps_max
-    # ascending, gradient ascending, then first in iteration order
+    # the stage's best feasible point in _better's order: J descending,
+    # eps_max ascending, gradient ascending, then first in iteration order
     pick = feasible & (J == J[feasible].max())
     pick &= eps_max == eps_max[pick].min()
-    pick &= grads == grads[np.nonzero(pick)[1]].min()
-    i, k = np.unravel_index(np.argmax(pick), pick.shape)
-    key = (float(J[i, k]), float(eps_max[i, k]), float(grads[k]))
+    pick &= grads == grads[np.nonzero(pick)[-1]].min()
+    i, j, k = np.unravel_index(np.argmax(pick), pick.shape)
+    key = (float(J[i, j, k]), float(eps_max[i, j, k]), float(grads[k]))
     if _better(*key, best and best[0]):
-        best = (key, params(int(i), key[2]))
+        best = (key, params(int(i), int(j), key[2]))
     return best
 
 
@@ -212,14 +212,12 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
 
     stage_space = space
     for _stage in range(2):
-        w2s = _grid(stage_space.w2)
-        for w1 in _grid(stage_space.w1):
-            w1 = float(w1)
-            best = _sweep_row(
-                TrapLayout.multi_trap(d, w1, float(w2s[0]), constants), w2s,
-                stage_space.gradient,
-                lambda i, grad: CandidateParams("multi", grad, d=d, w1=w1, w2=float(w2s[i])),
-                space, constants, best, trace)
+        w1s, w2s = _grid(stage_space.w1), _grid(stage_space.w2)
+        best = _sweep_stage(
+            d, w1s, w2s, stage_space.gradient,
+            lambda i, j, grad: CandidateParams("multi", grad, d=d, w1=float(w1s[i]),
+                                               w2=float(w2s[j])),
+            space, constants, best, trace)
         evaluations += stage_space.w1[2] * stage_space.w2[2] * stage_space.gradient[2]
         if best is None:
             break
@@ -228,8 +226,7 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
                               w1=_refined(space.w1, p.w1),
                               w2=_refined(space.w2, p.w2),
                               gradient=_refined(space.gradient, p.gradient))
-    return _result_from(best and best[1], evaluations, tuple(trace or ()), space,
-                        constants)
+    return _result_from(best and best[1], evaluations, tuple(trace or ()), constants)
 
 
 def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
@@ -248,15 +245,14 @@ def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
     trace: list | None = [] if collect_trace else None
     best = None
 
-    layout = TrapLayout.linear(w, constants)
+    freqs = np.array([w])
     grid = space.gradient
     for _stage in range(2):
-        best = _sweep_row(layout, layout.frequencies[1:2], grid,
-                          lambda _i, grad: CandidateParams("linear", grad, w=w),
-                          space, constants, best, trace)
+        best = _sweep_stage(0.0, freqs, freqs, grid,
+                            lambda _i, _j, grad: CandidateParams("linear", grad, w=w),
+                            space, constants, best, trace)
         evaluations += grid[2]
         if best is None:
             break
         grid = _refined(space.gradient, best[1].gradient)
-    return _result_from(best and best[1], evaluations, tuple(trace or ()), space,
-                        constants)
+    return _result_from(best and best[1], evaluations, tuple(trace or ()), constants)

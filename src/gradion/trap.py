@@ -9,7 +9,11 @@ Two layouts are supported: a micro-trap array (three wells spaced by d,
 outer wells sharing one frequency) and a single linear trap (all three
 wells coincide). The magnetic gradient exerts no net force here; the
 equilibrium is set by the trap and Coulomb terms alone. Both layouts are
-mirror-symmetric, so the equilibrium is the root of one scalar cubic.
+mirror-symmetric, so the equilibrium is the root of one scalar cubic and
+the Hessian splits into one antisymmetric mode and a 2x2 symmetric block:
+the normal modes and the two entries of its inverse the couplings need are
+closed forms, computed elementwise over arrays of layouts by
+`_chain_modes`, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -131,14 +135,17 @@ class EquilibriumSolution:
 class NormalModes:
     """Vibrational frequencies nu (ascending, rad/s) and orthogonal mode matrix D.
 
-    Columns of D are mode vectors; the Hessian factorizes as
+    Columns of D are mode vectors; the Hessian K factorizes as
     D diag(m nu^2) D^T. Each column's sign is fixed so its largest-magnitude
     entry is positive (couplings are bilinear in D, so this is cosmetic but
-    keeps results reproducible).
+    keeps results reproducible). ``kinv12`` and ``kinv13`` are the entries
+    [K^-1]_12 = [K^-1]_23 and [K^-1]_13 (m/N) the Ising couplings scale.
     """
 
     nu: np.ndarray
     D: np.ndarray
+    kinv12: float
+    kinv13: float
 
 
 # -- potential core (works for any number of ions; public API wraps 3) -----
@@ -168,22 +175,95 @@ def _gradient(positions, centers, freqs, constants) -> np.ndarray:
 
 
 def _hessian(positions, centers, freqs, constants) -> np.ndarray:
-    """Hessian (..., n, n) for frequencies (..., n): a leading axis of freqs
-    gives a stack of Hessians at the same positions, each entry computed by
-    the same float operations as a single one."""
+    """Analytic Hessian (n, n) of `_potential` at any positions."""
     m = constants.mass
     n = len(positions)
-    diag = np.arange(n)
-    hess = np.zeros(np.shape(freqs) + (n,))
-    hess[..., diag, diag] = m * freqs**2
+    hess = np.diag(m * freqs**2)
     for i in range(n):
         for j in range(n):
             if j == i:
                 continue
             curv = 2.0 * constants.coulomb / abs(positions[i] - positions[j]) ** 3
-            hess[..., i, i] += curv
-            hess[..., i, j] -= curv
+            hess[i, i] += curv
+            hess[i, j] -= curv
     return hess
+
+
+# -- the mirror-symmetric chain in closed form ------------------------------
+#
+# Both helpers work elementwise on broadcast arrays, so a whole search stage
+# gets, value for value, what `solve_equilibrium` and `normal_modes` give one
+# layout at a time. Squares are written x * x: a numpy scalar's ** 2 is
+# libm's pow, which can differ from the array square in the last bit.
+
+def _outer_displacement(w1, d: float, constants):
+    """The positive root delta of delta (d + delta)^2 = c, c = 5 k / (4 m W1^2),
+    for each W1 of ``w1``, and the number of Newton steps: for a single W1,
+    the steps it took; for several, the most any one took.
+
+    The cubic is increasing and convex for delta > 0: Newton's method from
+    min(c / d^2, c^(1/3)), above the root, falls monotonically; an element
+    stops at the first step that does not lower it, a few ulp from the root.
+    """
+    c = 1.25 * constants.coulomb / (constants.mass * (w1 * w1))
+    delta = np.minimum(c / (d * d), np.cbrt(c)) if d > 0.0 else np.cbrt(c)
+    steps = 0
+    while True:
+        steps += 1
+        h = d + delta
+        lower = delta - (delta * h * h - c) / (h * (h + 2.0 * delta))
+        # a stopped element recomputes the same ``lower``, so it stays stopped
+        if not (lower < delta).any():
+            return delta, steps
+        delta = np.minimum(lower, delta)
+
+
+def _chain_modes(w1, w2, h, constants):
+    """Hessian eigenvalues (..., 3), mode vectors (..., 3, 3) and the inverse
+    entries [K^-1]_12, [K^-1]_13 of the symmetric chain with outer frequency
+    W1, center frequency W2 and ion spacing h.
+
+    With c1 = 2k/h^3 and c2 = k/(4h^3) the Hessian is
+    [[a, -c1, -c2], [-c1, b, -c1], [-c2, -c1, a]], a = m W1^2 + c1 + c2,
+    b = m W2^2 + 2 c1. The antisymmetric mode (1, 0, -1)/sqrt2 has eigenvalue
+    a + c2; the symmetric modes (x, y sqrt2, x)/sqrt2 diagonalize the block
+    [[A, -sqrt2 c1], [-sqrt2 c1, b]], A = m W1^2 + c1, whose determinant
+    det = m^2 W1^2 W2^2 + 2 c1 m W1^2 + c1 m W2^2 is a sum of positive terms.
+    Its eigenvalues are lam+ = (A + b + disc) / 2 and lam- = det / lam+, and
+    each eigenvector takes the row form (sqrt2 c1, A - lam) or
+    (b - lam, sqrt2 c1) that does not cancel. The cofactors give
+    [K^-1]_12 = c1 / det and [K^-1]_13 = (c1^2 + b c2) / ((a + c2) det).
+    Eigenvalues come in the order (lam-, lam+, a + c2), unsorted.
+    """
+    kh3 = constants.coulomb / (h * h * h)
+    c1, c2 = 2.0 * kh3, 0.25 * kh3
+    mw1 = constants.mass * (w1 * w1)
+    mw2 = constants.mass * (w2 * w2)
+    A, b = mw1 + c1, mw2 + 2.0 * c1
+    anti = A + 2.0 * c2
+    det = mw1 * mw2 + 2.0 * c1 * mw1 + c1 * mw2
+    s = A - b
+    disc = np.sqrt(s * s + 8.0 * (c1 * c1))
+    upper = 0.5 * (A + b + disc)
+    shape = np.broadcast_shapes(np.shape(w1), np.shape(w2), np.shape(h))
+    lam = np.empty(shape + (3,))
+    lam[..., 0], lam[..., 1], lam[..., 2] = det / upper, upper, anti
+    # block eigenvectors: lam- -> (q, t), lam+ -> (-t, q) when A >= b, else
+    # lam- -> (t, q), lam+ -> (q, -t); t = (|A - b| + disc) / 2 adds no
+    # opposite signs, and the two share the norm sqrt(q^2 + t^2)
+    q = math.sqrt(2.0) * c1
+    t = 0.5 * (np.abs(s) + disc)
+    norm = np.sqrt(q * q + t * t)
+    q, t = q / norm, t / norm
+    wide = s >= 0.0
+    r = math.sqrt(0.5)
+    D = np.empty(shape + (3, 3))
+    D[..., 0, 0] = D[..., 2, 0] = r * np.where(wide, q, t)
+    D[..., 1, 0] = np.where(wide, t, q)
+    D[..., 0, 1] = D[..., 2, 1] = r * np.where(wide, -t, q)
+    D[..., 1, 1] = np.where(wide, q, -t)
+    D[..., :, 2] = (r, 0.0, -r)
+    return lam, D, c1 / det, (c1 * c1 + b * c2) / (anti * det)
 
 
 # -- public operations ------------------------------------------------------
@@ -217,28 +297,17 @@ def solve_equilibrium(layout: TrapLayout) -> EquilibriumSolution:
 
     The middle ion stays at its trap center; the outer ions move out by the
     one positive root delta of delta (d + delta)^2 = c, c = 5 k / (4 m W1^2)
-    (k the Coulomb constant, d = 0 in a linear trap), so W2 does not enter.
-    The cubic is increasing and convex for delta > 0: Newton's method from
-    min(c / d^2, c^(1/3)), above the root, falls monotonically and stops at
-    the first step that does not lower delta, a few ulp from the root.
-    ``TrapLayout`` admits W3 and the multi-trap spacing within 1e-12
-    relative of W1 and d, which bounds the error of using W1 and d near 1e-12.
+    (k the Coulomb constant, d = 0 in a linear trap), so W2 does not enter;
+    `_outer_displacement` finds it by Newton's method. ``TrapLayout`` admits
+    W3 and the multi-trap spacing within 1e-12 relative of W1 and d, which
+    bounds the error of using W1 and d near 1e-12.
     """
     const = layout.constants
     d = layout.d if layout.mode == "multi" else 0.0
-    c = 1.25 * const.coulomb / (const.mass * layout.frequencies[0] ** 2)
-    delta = min(c / d**2, np.cbrt(c)) if d > 0.0 else np.cbrt(c)
-    iterations = 0
-    while True:
-        h = d + delta
-        iterations += 1
-        lower = delta - (delta * h * h - c) / (h * (h + 2.0 * delta))
-        if not lower < delta:
-            break
-        delta = lower
-    z = layout.centers + delta * np.array([-1.0, 0.0, 1.0])
+    delta, steps = _outer_displacement(layout.frequencies[0], d, const)
+    z = layout.centers + float(delta) * np.array([-1.0, 0.0, 1.0])
     residual = float(np.max(np.abs(_gradient(z, layout.centers, layout.frequencies, const))))
-    return EquilibriumSolution(z, float(delta), float(z[1] - z[0]), residual, iterations)
+    return EquilibriumSolution(z, float(delta), float(z[1] - z[0]), residual, steps)
 
 
 def linear_spacing(w: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -258,15 +327,18 @@ def linear_frequency_for_spacing(h: float,
 
 
 def normal_modes(layout: TrapLayout, eq: EquilibriumSolution) -> NormalModes:
-    """Diagonalize the Hessian at equilibrium into vibrational modes.
+    """Vibrational modes of the chain at its symmetric equilibrium ``eq``.
 
-    nu_l = sqrt(lambda_l / m) with lambda_l the Hessian eigenvalues.
+    nu_l = sqrt(lambda_l / m) with lambda_l the Hessian eigenvalues, from
+    the closed form of `_chain_modes` at spacing eq.h.
     """
-    hess = _hessian(eq.positions, layout.centers, layout.frequencies, layout.constants)
-    evals, vecs = np.linalg.eigh(hess)
+    w = layout.frequencies
+    evals, vecs, kinv12, kinv13 = _chain_modes(w[0], w[1], eq.h, layout.constants)
     if np.any(evals <= 0.0):
         raise UnstableModesError(
             f"non-positive Hessian eigenvalue {evals.min():.3e}; configuration unstable")
+    order = np.argsort(evals, kind="stable")
+    evals, vecs = evals[order], vecs[:, order]
     nu = np.sqrt(evals / layout.constants.mass)
     for col in range(3):
         mags = np.abs(vecs[:, col])
@@ -275,4 +347,4 @@ def normal_modes(layout: TrapLayout, eq: EquilibriumSolution) -> NormalModes:
         lead = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-9))[0])
         if vecs[lead, col] < 0.0:
             vecs[:, col] = -vecs[:, col]
-    return NormalModes(nu, vecs)
+    return NormalModes(nu, vecs, float(kinv12), float(kinv13))

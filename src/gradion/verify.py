@@ -34,7 +34,8 @@ def _random_couplings(rng) -> CouplingSet:
     J = rng.uniform(1e2, 1e4)
     return CouplingSet(
         w=rng.uniform(1e5, 1e7, 3), dwdz=0.0, J=J, J13=rng.uniform(0.0, J),
-        eps=np.zeros((3, 3)), eps_max=0.0, eta=1e-6, eta_prime=np.zeros((3, 3)))
+        eps=np.zeros((3, 3)), eps_max=0.0, eta=FieldConfig.eta,
+        eta_prime=np.zeros((3, 3)))
 
 
 def check_table1_d4():
@@ -176,6 +177,15 @@ def check_hessian():
     return "analytic hessian vs finite differences", rel < 1e-6, f"rel dev {rel:.2e}"
 
 
+def check_closed_form_modes():
+    chain = _d4_chain()
+    layout, modes = chain.layout, chain.modes
+    hessian = potential_hessian(layout, chain.equilibrium.positions)
+    rebuilt = modes.D @ np.diag(layout.constants.mass * modes.nu**2) @ modes.D.T
+    rel = np.max(np.abs(rebuilt - hessian)) / np.max(np.abs(hessian))
+    return "closed-form modes rebuild the hessian", rel < 1e-12, f"rel dev {rel:.2e}"
+
+
 def check_integrator():
     c = _d4_chain().couplings
     sched = PulseSchedule(build_cnot(2, 3, PulseContext(c)).items[:1], INTERACTION)
@@ -191,6 +201,6 @@ def run_all():
         check_table1_d4, check_table3_rows, check_modes_d4, check_neighbor_shift,
         check_heating, check_cnot_duration, check_refocusing_lab,
         check_cnot_identity, check_ideal_teleport, check_branch_probabilities,
-        check_unitarity, check_hessian, check_integrator,
+        check_unitarity, check_hessian, check_closed_form_modes, check_integrator,
     ]
     return [fn() for fn in checks]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 import gradion as g
 from gradion.operators import Z_SIGNS, cnot_matrix
 from util import (SZ2, carrier_spectrum_oracle, cnot_permutation, embed3,
-                  random_couplings, spin_energy_oracle, spin_hamiltonian_oracle)
+                  exact_inverse_hessian, ising_matrix_oracle, layouts,
+                  normal_modes_eigh_oracle, random_couplings, spin_energy_oracle,
+                  spin_hamiltonian_oracle)
 
 
 class TestQubitFrequencies:
@@ -105,10 +108,11 @@ class TestCouplings:
         couplings = d4_chain.couplings
         for _ in range(10):
             signs = rng.choice([-1.0, 1.0], size=3)
-            flipped = g.NormalModes(modes.nu, modes.D * signs[np.newaxis, :])
+            flipped = replace(modes, D=modes.D * signs[np.newaxis, :])
             c2 = g.compute_couplings(flipped, field, eq)
             assert c2.J == pytest.approx(couplings.J, rel=1e-12)
             assert c2.J13 == pytest.approx(couplings.J13, rel=1e-12)
+            assert c2.eps_max == couplings.eps_max
 
     def test_j12_equals_j23_for_symmetric_layouts(self, rng):
         c = g.DEFAULT_CONSTANTS
@@ -144,20 +148,39 @@ class TestCouplings:
 
     def test_gradient_axis_matches_scalar_expressions(self, d4_chain, rng):
         # a whole gradient axis in one call must give, bit for bit, what the
-        # scalar expressions give one gradient at a time: Python's float **
-        # is libm pow, which differs from numpy's square in ~1 case in 1000
-        from gradion.couplings import _ising_matrix, _lamb_dicke_matrix
+        # same helpers give one Python-float gradient at a time, and eps_max
+        # as max_l (max_i |D_il|) times the scale must equal max |eps|
+        from gradion.couplings import _ising, _lamb_dicke_scale
         modes, c = d4_chain.modes, g.DEFAULT_CONSTANTS
         grads = rng.uniform(1.0, 2000.0, 20_000)
-        dwdz = 2.0 * c.mu_b * grads / c.hbar
-        jmat = _ising_matrix(modes.D, modes.nu, dwdz, c)
-        eps = _lamb_dicke_matrix(modes.D, modes.nu, dwdz, c)
-        inv_mnu2 = 1.0 / (c.mass * modes.nu**2)
-        ground_width = np.sqrt(c.hbar / (2.0 * c.mass * modes.nu))
+        dwdz = g.couplings.frequency_gradient(grads, c)
+        J = _ising(modes.kinv12, dwdz, c)
+        scale = _lamb_dicke_scale(modes.nu, dwdz[:, np.newaxis], c)
+        eps_max = np.max(np.max(np.abs(modes.D), axis=0) * scale, axis=-1)
         for k, x in enumerate(dwdz.tolist()):
-            scalar = c.hbar * 0.5 * x**2 * (modes.D * inv_mnu2) @ modes.D.T
-            assert np.array_equal(jmat[k], scalar)
-            assert np.array_equal(eps[k], modes.D * (ground_width * x / modes.nu))
+            assert J[k] == _ising(modes.kinv12, x, c)
+            eps = modes.D * _lamb_dicke_scale(modes.nu, x, c)
+            assert np.array_equal(scale[k], _lamb_dicke_scale(modes.nu, x, c))
+            assert eps_max[k] == np.max(np.abs(eps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=layouts(), gradient=st.floats(50.0, 1500.0))
+    def test_couplings_match_exact_inverse_hessian(self, layout, gradient):
+        # [K^-1] entries and J, J13 within a few ulp of exact rational values
+        chain = g.solve_chain(layout, g.FieldConfig(gradient))
+        modes, c = chain.modes, chain.couplings
+        k12, k13 = exact_inverse_hessian(layout, chain.equilibrium.h)
+        scale = Fraction(0.5 * layout.constants.hbar) * Fraction(c.dwdz) ** 2
+        ulp = np.finfo(float).eps
+        for got, exact in ((modes.kinv12, k12), (modes.kinv13, k13),
+                           (c.J, scale * k12), (c.J13, scale * k13)):
+            assert abs(Fraction(got) - exact) <= 8 * ulp * exact
+        # J within 1e-13 of the mode sum over the eigh oracle's modes; J13 is
+        # a difference of mode terms there, good only to a few 1e-13, so the
+        # exact values above are its judge
+        nu, D = normal_modes_eigh_oracle(layout, chain.equilibrium)
+        jmat = ising_matrix_oracle(D, nu, c.dwdz, layout.constants)
+        assert c.J == pytest.approx(jmat[0, 1], rel=1e-13, abs=0)
 
     def test_scaling_with_gradient(self, d4_chain):
         eq, modes = d4_chain.equilibrium, d4_chain.modes

@@ -193,7 +193,8 @@ class TestGFactor:
 
 
 class TestRowArraySearchMatchesOracle:
-    """The row-array search against the per-point search it replaced."""
+    """The stage-array search against the per-point search, which runs the
+    same closed-form helpers one point at a time."""
 
     @pytest.mark.parametrize("d_um", [1, 2, 3, 4, 5, 6, 7])
     def test_table1_rows(self, d_um):
@@ -236,18 +237,18 @@ class TestRowArraySearchMatchesOracle:
             assert result.feasible == (axes.get("eps_ceiling") is None)
 
     def test_unstable_center_frequencies_are_rejections(self, monkeypatch):
-        # flip the Hessian of every W2 below 1.2 MHz: normal_modes raises for
-        # those chains, and the row arrays must reject the same points
-        hessian = trap._hessian
+        # flip the eigenvalues of every W2 below 1.2 MHz: normal_modes raises
+        # for those chains, and the stage arrays must reject the same points
+        chain_modes = trap._chain_modes
 
-        def flipped(positions, centers, freqs, constants):
-            hess = hessian(positions, centers, freqs, constants)
-            low = np.asarray(freqs)[..., 1] < g.TWO_PI * 1.2e6
-            hess[low] = -hess[low]
-            return hess
+        def flipped(w1, w2, h, constants):
+            evals, D, kinv12, kinv13 = chain_modes(w1, w2, h, constants)
+            low = np.broadcast_to(np.asarray(w2) < g.TWO_PI * 1.2e6, evals.shape[:-1])
+            evals[low] = -evals[low]
+            return evals, D, kinv12, kinv13
 
-        monkeypatch.setattr(trap, "_hessian", flipped)
-        monkeypatch.setattr(search, "_hessian", flipped)
+        monkeypatch.setattr(trap, "_chain_modes", flipped)
+        monkeypatch.setattr(search, "_chain_modes", flipped)
         space = small_space()
         result = g.maximize_J_multitrap(4e-6, space, collect_trace=True)
         assert_same_search(result, sweep_search_oracle("multi", 4e-6, space,
@@ -257,28 +258,14 @@ class TestRowArraySearchMatchesOracle:
         assert result.params.w2 >= g.TWO_PI * 1.2e6
 
     def test_all_unstable_is_infeasible(self, monkeypatch):
-        monkeypatch.setattr(search, "_hessian",
-                            lambda positions, centers, freqs, constants:
-                            -trap._hessian(positions, centers, freqs, constants))
+        chain_modes = trap._chain_modes
+
+        def negated(w1, w2, h, constants):
+            evals, D, kinv12, kinv13 = chain_modes(w1, w2, h, constants)
+            return -evals, D, kinv12, kinv13
+
+        monkeypatch.setattr(search, "_chain_modes", negated)
         result = g.maximize_J_multitrap(4e-6, small_space(), collect_trace=True)
         assert not result.feasible and result.params is None
         assert len(result.trace) == result.evaluations == 4 * 5 * 6
         assert all(np.isnan(J) and not feas for _p, J, _eps, feas in result.trace)
-
-    def test_unequal_neighbor_couplings_raise(self, monkeypatch):
-        # stiffen the third ion's well only: J12 != J23 at every gradient
-        hessian = trap._hessian
-
-        def skewed(positions, centers, freqs, constants):
-            hess = hessian(positions, centers, freqs, constants)
-            hess[..., 2, 2] *= 1.01
-            return hess
-
-        monkeypatch.setattr(trap, "_hessian", skewed)
-        monkeypatch.setattr(search, "_hessian", skewed)
-        with pytest.raises(ValueError, match="nearest-neighbor couplings differ"):
-            sweep_search_oracle("multi", 4e-6, small_space())
-        with pytest.raises(ValueError, match="nearest-neighbor couplings differ"):
-            g.maximize_J_multitrap(4e-6, small_space())
-        with pytest.raises(ValueError, match="nearest-neighbor couplings differ"):
-            g.maximize_J_linear(4e-6, small_space())

@@ -3,6 +3,7 @@ import importlib
 import json
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -462,9 +463,10 @@ class TestKronFreeOperators:
         for module in ("operators", "pulses", "integrate", "teleport"):
             monkeypatch.setattr(importlib.import_module(f"gradion.{module}"),
                                 "embed", embed3)
-        monkeypatch.setattr(importlib.import_module("gradion.pulses"), "spin_spectrum",
-                            lambda c: g.SpinSpectrum(np.array(
-                                [spin_energy_oracle(c, b) for b in range(8)])))
+        monkeypatch.setattr(importlib.import_module("gradion.pulses"), "_spin_diagonal",
+                            lambda w, J, J13: np.array(
+                                [spin_energy_oracle(SimpleNamespace(w=w, J=J, J13=J13), b)
+                                 for b in range(8)]))
         monkeypatch.setattr(_Register, "evolve", dense_evolve_oracle)
         assert fast == run_all()
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradion as g
 from gradion import trap
 
 import util
-from util import (exact_force_residual, exact_outer_displacement,
+from util import (exact_force_residual, exact_outer_displacement, layouts,
+                  normal_modes_eigh_oracle,
                   newton_equilibrium_oracle, oracle_positions)
 
 
@@ -228,10 +230,77 @@ class TestNormalModes:
 
     def test_unstable_configuration_raises(self, d4_chain, monkeypatch):
         layout, eq = d4_chain.layout, d4_chain.equilibrium
-        monkeypatch.setattr(trap, "_hessian",
-                            lambda *a, **k: -np.eye(3))
+        chain_modes = trap._chain_modes
+
+        def negated(*args):
+            evals, D, kinv12, kinv13 = chain_modes(*args)
+            return -evals, D, kinv12, kinv13
+
+        monkeypatch.setattr(trap, "_chain_modes", negated)
         with pytest.raises(g.UnstableModesError):
             g.normal_modes(layout, eq)
+
+
+#: below this gap between Hessian eigenvalues, relative to the largest, an
+#: eigensolver's mode vectors are not accurate to 1e-13 (the error of eigh
+#: scales as 1e-16 over the gap), so the vectors are not compared there
+NEAR_DEGENERATE = 1e-2
+
+
+class TestClosedFormModes:
+    """The closed-form modes against an eigh of the Hessian."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=layouts(), gradient=st.floats(50.0, 1500.0))
+    def test_modes_match_eigh_oracle(self, layout, gradient):
+        chain = g.solve_chain(layout, g.FieldConfig(gradient))
+        modes = chain.modes
+        nu, D = normal_modes_eigh_oracle(layout, chain.equilibrium)
+        assert np.max(np.abs(modes.nu - nu) / nu) <= 1e-13
+        eps = D * g.couplings._lamb_dicke_scale(nu, chain.couplings.dwdz, layout.constants)
+        eps_ratio = chain.couplings.eps_max / np.max(np.abs(eps))
+        lam = nu * nu
+        gap = np.min(np.diff(lam)) / lam[-1]
+        if gap >= NEAR_DEGENERATE:
+            assert np.max(np.abs(modes.D - D)) <= 1e-13
+            assert abs(eps_ratio - 1.0) <= 1e-13
+        assert np.max(np.abs(modes.D - D)) * gap <= 4e-15
+        assert abs(eps_ratio - 1.0) * gap <= 4e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=layouts())
+    def test_orthonormal_and_rebuild_hessian(self, layout):
+        eq = g.solve_equilibrium(layout)
+        modes = g.normal_modes(layout, eq)
+        assert np.all(np.diff(modes.nu) >= 0.0)
+        assert np.max(np.abs(modes.D.T @ modes.D - np.eye(3))) <= 2e-15
+        hessian = g.potential_hessian(layout, eq.positions)
+        rebuilt = modes.D @ np.diag(layout.constants.mass * modes.nu**2) @ modes.D.T
+        assert np.max(np.abs(rebuilt - hessian)) <= 1e-14 * np.max(np.abs(hessian))
+        for col in modes.D.T:
+            mags = np.abs(col)
+            assert col[np.flatnonzero(mags >= mags.max() * (1.0 - 1e-9))[0]] > 0.0
+
+    def test_arrays_match_single_layouts_bit_for_bit(self):
+        # a search stage evaluates these helpers over (W1, W2) arrays; every
+        # value must be what solve_equilibrium and normal_modes give alone
+        c = g.DEFAULT_CONSTANTS
+        space = g.SearchSpace()
+        w1s, w2s = np.linspace(*space.w1), np.linspace(*space.w2)
+        for d in np.random.default_rng(4).uniform(1e-6, 7e-6, 20).tolist() + [4e-6]:
+            delta, _steps = trap._outer_displacement(w1s, d, c)
+            evals, D, kinv12, kinv13 = trap._chain_modes(
+                w1s[:, np.newaxis], w2s, (d + delta)[:, np.newaxis], c)
+            for i, w1 in enumerate(w1s.tolist()):
+                for j, w2 in enumerate(w2s.tolist()):
+                    layout = g.TrapLayout.multi_trap(d, w1, w2)
+                    eq = g.solve_equilibrium(layout)
+                    assert (eq.delta, eq.h) == (delta[i], d + delta[i])
+                    modes = g.normal_modes(layout, eq)
+                    order = np.argsort(evals[i, j], kind="stable")
+                    assert np.array_equal(modes.nu, np.sqrt(evals[i, j][order] / c.mass))
+                    assert np.array_equal(np.abs(modes.D), np.abs(D[i, j][:, order]))
+                    assert (modes.kinv12, modes.kinv13) == (kinv12[i, j], kinv13[i, j])
 
 
 class TestConstantsValidation:

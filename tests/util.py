@@ -4,11 +4,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import gradion as g
 from gradion.search import CandidateParams
-from gradion.trap import ConvergenceError, _gradient, _hessian, _potential
+from gradion.trap import ConvergenceError, UnstableModesError, _gradient, _hessian, _potential
 
 I2 = np.eye(2, dtype=complex)
 SZ2 = np.array([[-1, 0], [0, 1]], dtype=complex)  # sigma_z |1> = +|1>
@@ -262,6 +263,83 @@ def exact_outer_displacement(layout, bits=80):
     return (lo + hi) / 2
 
 
+def layouts():
+    """Hypothesis strategy: micro-trap layouts over the search's default
+    ranges (d 1-7 um, W1 2pi 0.3-4 MHz, W2 2pi 0.05-3 MHz) and linear traps
+    (W 2pi 0.05-4 MHz)."""
+    mhz = g.TWO_PI * 1e6
+    multi = st.builds(lambda d, w1, w2: g.TrapLayout.multi_trap(d * 1e-6, w1 * mhz, w2 * mhz),
+                      st.floats(1.0, 7.0), st.floats(0.3, 4.0), st.floats(0.05, 3.0))
+    linear = st.builds(lambda w: g.TrapLayout.linear(w * mhz), st.floats(0.05, 4.0))
+    return st.one_of(multi, linear)
+
+
+def exact_inverse_hessian(layout, h):
+    """[K^-1]_12 and [K^-1]_13 of the symmetric chain with ion spacing ``h``,
+    in exact rational arithmetic on the float inputs: K is the Hessian of
+    `trap._hessian`, inverted by Gauss-Jordan elimination on Fractions."""
+    c = layout.constants
+    k, m = Fraction(c.coulomb), Fraction(c.mass)
+    h = Fraction(float(h))
+    w = [Fraction(float(x)) for x in layout.frequencies]
+    z = [-h, Fraction(0), h]
+    K = [[Fraction(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        K[i][i] = m * w[i] ** 2
+        for j in range(3):
+            if j != i:
+                curv = 2 * k / abs(z[i] - z[j]) ** 3
+                K[i][i] += curv
+                K[i][j] -= curv
+    aug = [row + [Fraction(int(i == j)) for j in range(3)] for i, row in enumerate(K)]
+    for col in range(3):
+        pivot = aug[col][col]
+        aug[col] = [x / pivot for x in aug[col]]
+        for row in range(3):
+            if row != col:
+                factor = aug[row][col]
+                aug[row] = [x - factor * y for x, y in zip(aug[row], aug[col])]
+    return aug[0][4], aug[0][5]
+
+
+def normal_modes_eigh_oracle(layout, eq):
+    """`trap.normal_modes` as a batched ``eigh`` of the Hessian, the form the
+    closed-form modes replaced, kept as their reference. Returns (nu, D)."""
+    hess = _hessian(eq.positions, layout.centers, layout.frequencies, layout.constants)
+    evals, vecs = np.linalg.eigh(hess)
+    if np.any(evals <= 0.0):
+        raise UnstableModesError(
+            f"non-positive Hessian eigenvalue {evals.min():.3e}; configuration unstable")
+    nu = np.sqrt(evals / layout.constants.mass)
+    for col in range(3):
+        mags = np.abs(vecs[:, col])
+        # near-ties resolve to the lowest index, so the sign stays stable
+        # against last-ulp reordering of symmetric mode vectors
+        lead = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-9))[0])
+        if vecs[lead, col] < 0.0:
+            vecs[:, col] = -vecs[:, col]
+    return nu, vecs
+
+
+def ising_matrix_oracle(D, nu, dwdz, constants) -> np.ndarray:
+    """J_ij = (hbar/2) (dw/dz)^2 sum_l D_il D_jl / (m nu_l^2), the mode sum
+    the closed-form [K^-1] entries replaced, kept as their reference.
+
+    Raises ValueError wherever J12 != J23 (beyond 1e-8 relative).
+    ``float_power`` is libm's pow, the same as a Python float's ``**``.
+    """
+    inv_mnu2 = 1.0 / (constants.mass * nu**2)
+    scale = constants.hbar * 0.5 * np.float_power(dwdz, 2)
+    jmat = (np.expand_dims(scale, (-2, -1)) * (D * inv_mnu2[..., np.newaxis, :])
+            @ np.swapaxes(D, -2, -1))
+    j12, j23 = jmat[..., 0, 1], jmat[..., 1, 2]
+    tolerance = 1e-8 * np.maximum(np.maximum(np.abs(j12), np.abs(j23)), 1e-300)
+    if np.any(np.abs(j12 - j23) > tolerance):
+        raise ValueError(
+            "nearest-neighbor couplings differ; layout must keep W1 == W3")
+    return jmat
+
+
 def exact_force_residual(layout, positions):
     """Largest net force on an ion at ``positions``, in exact rational
     arithmetic on the float inputs, relative to k / h^2 (h the ion spacing)."""
@@ -318,7 +396,7 @@ def _sweep_gradient_oracle(base, grid, space, constants, best, trace):
         return best
     for grad in _grid(grid):
         grad = float(grad)
-        field = g.FieldConfig(gradient=grad, b0=space.b0, eta=space.eta)
+        field = g.FieldConfig(gradient=grad)
         couplings = g.compute_couplings(base.modes, field, base.equilibrium, constants)
         feasible = couplings.eps_max < space.eps_ceiling
         better = feasible and _better(couplings.J, couplings.eps_max, grad,
@@ -347,7 +425,7 @@ def _oracle_result(best_eval, evaluations, trace):
 
 def sweep_search_oracle(mode, spacing, space=None, constants=g.DEFAULT_CONSTANTS,
                         collect_trace=False):
-    """The per-point searches the row-array `_sweep_row` replaced, kept as its
+    """The per-point searches the stage-array search replaced, kept as its
     reference: ``mode`` "multi" is `maximize_J_multitrap(spacing)`, "linear"
     is `maximize_J_linear(spacing)`. Each grid point runs `compute_couplings`
     on a chain solved once per trap-frequency pair."""
@@ -364,7 +442,7 @@ def sweep_search_oracle(mode, spacing, space=None, constants=g.DEFAULT_CONSTANTS
                     base = g.evaluate_candidate(
                         CandidateParams("multi", float(stage_space.gradient[0]),
                                         d=d, w1=float(w1), w2=float(w2)),
-                        constants, b0=space.b0, eta=space.eta)
+                        constants)
                     best = _sweep_gradient_oracle(base, stage_space.gradient, space,
                                                   constants, best, trace)
                     evaluations += stage_space.gradient[2]
@@ -379,7 +457,7 @@ def sweep_search_oracle(mode, spacing, space=None, constants=g.DEFAULT_CONSTANTS
                               tuple(trace or ()))
     w = g.linear_frequency_for_spacing(spacing, constants)
     base = g.evaluate_candidate(CandidateParams("linear", float(space.gradient[0]), w=w),
-                                constants, b0=space.b0, eta=space.eta)
+                                constants)
     grid = space.gradient
     for _stage in range(2):
         best = _sweep_gradient_oracle(base, grid, space, constants, best, trace)
