@@ -10,30 +10,36 @@ probability 1/4 and leave ion 3 one Pauli away from the input:
 
 One stage runner serves all three gate modes: the stages entangle,
 encode and rotate, the measurement of ions 1,2, then the correct stage. A
-stage is a sequence of (unitary, wall-clock duration) steps. In "ideal"
-mode it is one exact gate matrix of zero duration (`IDEAL_STAGES`);
-"scheduled" takes the stage's pulse schedule segment by segment;
-"integrated" replaces each segment unitary with the exact propagator of its
-constant Hamiltonian, spin-spin terms kept active during pulses. Both build
-their stage schedules from the config's derived `PulseContext`.
+stage is a sequence of steps, each a unitary and a wall-clock duration. In
+"ideal" mode it is one exact gate matrix of zero duration
+(`IDEAL_STAGES`); "scheduled" takes the stage's pulse schedule segment by
+segment; "integrated" replaces the segment unitaries with the exact
+propagators of their constant Hamiltonians, spin-spin terms kept active
+during pulses, all built at once by `integrate.stage_propagators`. Both
+build their stage schedules from the config's derived `PulseContext`.
 Optional per-qubit dephasing (phase damping applied after every step,
 scaled by its wall-clock duration) makes the register a density matrix;
 it requires a mode with durations, so "ideal" rejects nonzero rates.
-Damping qubit q maps rho to keep rho + (1 - keep) z rho z, and z rho z is
-the elementwise product of rho with the real +-1 mask
-outer(Z_SIGNS[:, q], Z_SIGNS[:, q]), since z is diagonal.
+Damping qubit q for a time t maps rho to keep rho + (1 - keep) z rho z with
+keep = (1 + e^{-rate_q t}) / 2. Since z is diagonal, that multiplies the
+entry (i, j) by 1 where basis states i and j agree in qubit q's bit and by
+e^{-rate_q t} where they differ. The three qubits' damping after a step is
+therefore one real factor F = exp(-t R), elementwise, with
+R_ij = sum of rate_q over the qubits q in which i and j differ, and the
+step is rho <- F * (U rho U^dagger).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .couplings import CouplingSet
-from .integrate import integrate_segment_unitary, segment_hamiltonians
+from .integrate import stage_propagators
 from .operators import Z_SIGNS, cnot_matrix, embed, hadamard_matrix, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
@@ -59,7 +65,8 @@ IDEAL_STAGES = {
     "rotate": hadamard_matrix(1),
 }
 
-_Z_MASKS = tuple(np.outer(s, s) for s in Z_SIGNS.T)
+#: _FLIPS[i, j, q] is 1 where basis states i and j differ in qubit q's bit, else 0
+_FLIPS = 0.5 * (1.0 - Z_SIGNS[:, None, :] * Z_SIGNS[None, :, :])
 
 
 def _check_amplitudes(alpha: complex, beta: complex) -> None:
@@ -72,6 +79,7 @@ def _check_amplitudes(alpha: complex, beta: complex) -> None:
 class ProtocolConfig:
     """Inputs of one teleportation run.
 
+    ``seed`` is None or a non-negative integer, stored as a Python int.
     ``dephasing`` is a per-qubit phase-damping rate in 1/s (scalar applies
     to all three). ``couplings`` may be omitted in ideal mode only.
     ``pulses`` is derived: the interaction-frame `PulseContext` of
@@ -92,6 +100,15 @@ class ProtocolConfig:
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate mode must be one of {GATE_MODES}")
         _check_amplitudes(self.alpha, self.beta)
+        if self.seed is not None:
+            try:
+                seed = int(operator.index(self.seed))  # ints and numpy integers
+            except TypeError:
+                seed = -1  # 1.5, "3": refused below with the negative seeds
+            if seed < 0:
+                raise ValueError(f"seed must be a non-negative integer or None, "
+                                 f"got {self.seed!r}")
+            object.__setattr__(self, "seed", seed)
         rates = self.dephasing
         if np.isscalar(rates):
             rates = (float(rates),) * 3
@@ -223,17 +240,23 @@ class _Register:
         self.mixed = any(r > 0.0 for r in rates)
         self.state = (np.outer(amplitudes, amplitudes.conj()) if self.mixed
                       else amplitudes)
+        if self.mixed:
+            self.damping_rates = _FLIPS @ np.asarray(rates, dtype=float)
 
-    def evolve(self, U: np.ndarray, wall: float) -> None:
-        """Apply U, then (density matrix only) ``wall`` seconds of phase damping."""
+    def evolve(self, unitaries, walls) -> None:
+        """Apply each step's unitary in order, each followed (density matrix
+        only) by its wall-clock duration of phase damping."""
         if not self.mixed:
-            self.state = U @ self.state
+            for U in unitaries:
+                self.state = U @ self.state
             return
-        rho = U @ self.state @ U.conj().T
-        for mask, rate in zip(_Z_MASKS, self.rates):
-            if rate > 0.0 and wall > 0.0:
-                keep = 0.5 * (1.0 + np.exp(-rate * wall))
-                rho = keep * rho + (1.0 - keep) * (mask * rho)
+        if not isinstance(unitaries, np.ndarray):  # scheduled segments, one by one
+            unitaries = np.array(list(unitaries), dtype=complex).reshape(-1, 8, 8)
+        factors = np.exp(-np.multiply.outer(np.asarray(walls), self.damping_rates))
+        rho = self.state
+        for U_k, U_k_dagger, F_k in zip(unitaries, unitaries.conj().swapaxes(1, 2),
+                                        factors):
+            rho = F_k * (U_k @ rho @ U_k_dagger)
         self.state = rho
 
     def measure(self, rng: np.random.Generator,
@@ -269,22 +292,18 @@ class _Register:
 
 
 def _steps(stage, config: ProtocolConfig):
-    """(unitary, wall-clock duration) per step of a stage in the config's gate mode."""
+    """(unitaries, wall-clock durations) of a stage's steps in the config's gate mode."""
     if config.gate_mode == "ideal":
-        yield stage, 0.0
-    elif config.gate_mode == "integrated":
-        hams = segment_hamiltonians(stage, config.couplings)
-        for item, (H, physical) in zip(stage.items, hams):
-            yield integrate_segment_unitary(H, physical), item.duration
-    else:
-        for item in stage.items:
-            yield segment_unitary(item, config.couplings, stage.frame), item.duration
+        return (stage,), (0.0,)
+    if config.gate_mode == "integrated":
+        return stage_propagators(stage, config.couplings)
+    return ((segment_unitary(item, config.couplings, stage.frame) for item in stage.items),
+            [item.duration for item in stage.items])
 
 
 def _run_stage(register: _Register, stage, config: ProtocolConfig) -> float:
     """Evolve the register through one stage; return the stage's duration."""
-    for U, wall in _steps(stage, config):
-        register.evolve(U, wall)
+    register.evolve(*_steps(stage, config))
     return 0.0 if config.gate_mode == "ideal" else stage.total_duration
 
 

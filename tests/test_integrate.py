@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import gradion as g
-from gradion.integrate import integrate_segment_unitary, segment_hamiltonians
+from gradion.integrate import (integrate_segment_unitary, segment_hamiltonians,
+                               stage_propagators)
 from gradion.operators import max_unitarity_defect
 from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
 
-from util import drive_hamiltonian_oracle, random_couplings, spin_hamiltonian_oracle
+from util import (drive_hamiltonian_oracle, integrate_segment_unitary_oracle,
+                  random_couplings, segment_hamiltonians_oracle, spin_hamiltonian_oracle)
 
 
 def plus_state():
@@ -90,6 +93,87 @@ class TestExpmOracle:
             assert np.max(np.abs(U - expm(-1j * H * t))) <= 1e-12
         res = g.integrate_exact(plus_state(), sched, couplings)
         assert res.norm_drift <= 1e-12
+
+
+def oracle_propagators(schedule, couplings):
+    return [integrate_segment_unitary_oracle(H, t)
+            for H, t in segment_hamiltonians_oracle(schedule, couplings)]
+
+
+class TestStagePropagators:
+    """Diagonal, 2x2-block and stacked-`eigh` propagators against one `eigh`
+    per segment."""
+
+    @pytest.mark.parametrize("preset", sorted(g.PRESETS))
+    def test_protocol_and_corrections_match_eigh_oracle(self, preset):
+        couplings = g.solve_chain(*g.preset_layout_field(preset)).couplings
+        worst = 0.0
+        for rabi in (g.TWO_PI * 0.5e6, g.TWO_PI * 1e6, g.TWO_PI * 2e6):
+            ctx = g.PulseContext(couplings, rabi=rabi)
+            schedules = list(protocol_schedules(ctx).values())
+            schedules += [correction_schedule(bits, ctx) for bits in CORRECTIONS]
+            for sched in schedules:
+                U, walls = stage_propagators(sched, couplings)
+                assert walls.tolist() == [item.duration for item in sched.items]
+                oracle = oracle_propagators(sched, couplings)
+                assert U.shape == (len(oracle), 8, 8)
+                worst = max([worst, *(float(np.max(np.abs(u - v)))
+                                      for u, v in zip(U, oracle))])
+        assert worst <= 1e-13
+
+    # Omega t stays below 50 rad: the eigh oracle's own error grows with the
+    # rotated angle (8e-14 at 200 rad), the closed form's does not
+    @settings(max_examples=200, deadline=None)
+    @given(J=st.floats(-2e4, 2e4), J13=st.floats(-2e4, 2e4),
+           rabi=st.one_of(st.just(0.0), st.floats(0.0, g.TWO_PI * 2e6)),
+           phi=st.floats(-2 * np.pi, 2 * np.pi), duration=st.floats(0.0, 4e-6),
+           ion=st.sampled_from((1, 2, 3)))
+    def test_single_pulse_closed_form(self, d4_chain, J, J13, rabi, phi, duration, ion):
+        couplings = replace(d4_chain.couplings, J=J, J13=J13)
+        pulse = g.Pulse(ion, rabi * duration, phi, rabi, duration)
+        sched = g.PulseSchedule((g.PulseSlot((pulse,), 2.5e-6),), g.INTERACTION)
+        U, walls = stage_propagators(sched, couplings)
+        assert walls.tolist() == [2.5e-6]
+        assert np.max(np.abs(U[0] - oracle_propagators(sched, couplings)[0])) <= 1e-13
+        assert max_unitarity_defect(U[0]) <= 1e-14
+
+    def test_undriven_pulse_is_free_evolution(self, d4_chain):
+        # Omega = 0 leaves w = 0 on the ion-2 pairs whose neighbors are
+        # antiparallel, where sin(w t)/w takes its limit t
+        couplings = d4_chain.couplings
+        pulse = g.Pulse(2, 0.0, 0.3, 0.0, 1e-6)
+        sched = g.PulseSchedule((g.PulseSlot((pulse,), 2.5e-6),), g.INTERACTION)
+        U, _ = stage_propagators(sched, couplings)
+        assert np.max(np.abs(U[0] - g.free_evolution(couplings, 1e-6))) <= 1e-15
+        flat = replace(couplings, J=0.0, J13=0.0)
+        assert np.array_equal(stage_propagators(sched, flat)[0][0], np.eye(8))
+
+    def test_segment_kinds_in_order(self, d4_chain):
+        couplings = d4_chain.couplings
+        ctx = g.PulseContext(couplings)
+        sched = g.refocused_zz(ctx) + ctx.schedule(ctx.slot("pair", (1, np.pi, 0.2),
+                                                            (3, np.pi, 1.1)))
+        U, walls = stage_propagators(sched, couplings)
+        oracle = oracle_propagators(sched, couplings)
+        assert len(U) == len(walls) == len(oracle) == 9
+        assert max(float(np.max(np.abs(u - v))) for u, v in zip(U, oracle)) <= 1e-13
+        assert stage_propagators(g.PulseSchedule(()), couplings)[0].shape == (0, 8, 8)
+
+    def test_slot_pulses_must_share_a_duration(self, d4_chain):
+        rabi = g.TWO_PI * 1e6
+        slot = g.PulseSlot((g.Pulse(1, np.pi, 0.0, rabi, np.pi / rabi),
+                            g.Pulse(2, np.pi / 2, 0.0, rabi, np.pi / 2 / rabi)), 2.5e-6)
+        with pytest.raises(ValueError, match="share one realized duration"):
+            stage_propagators(g.PulseSchedule((slot,)), d4_chain.couplings)
+
+    def test_stacked_eigh_matches_one_call_per_segment(self, d4_chain):
+        couplings = d4_chain.couplings
+        sched = protocol_schedules(g.PulseContext(couplings))["entangle"]
+        H, t = zip(*segment_hamiltonians(sched, couplings))
+        stacked = integrate_segment_unitary(np.array(H), np.array(t))
+        for k in range(len(H)):
+            assert np.array_equal(stacked[k], integrate_segment_unitary(H[k], t[k]))
+            assert np.array_equal(stacked[k], integrate_segment_unitary_oracle(H[k], t[k]))
 
 
 class TestCnotResidualIsingPhase:

@@ -2,7 +2,7 @@ import dataclasses
 import importlib
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 import gradion as g
 from gradion.operators import embed, reduced_density
 from gradion.pulses import spin_energies
-from gradion.teleport import (CORRECTIONS, _Register, correction_schedule,
-                              protocol_schedules)
+from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
 
-from util import dense_evolve_oracle, embed3, haar_qubit, spin_energy_oracle
+import util
+from util import (dense_evolve_oracle, embed3, haar_qubit, run_stage_oracle,
+                  spin_energy_oracle)
 
 
 def ideal_stages(state, names=("entangle", "encode", "rotate")):
@@ -203,6 +204,21 @@ class TestRunIdeal:
                                  force_outcome=forced)
             assert rec.outcome == forced
             assert rec.fidelity > 1 - 1e-9
+
+    def test_numpy_integer_seed_is_stored_as_int(self, d4_chain):
+        config = g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled", seed=np.int64(3),
+                                  couplings=d4_chain.couplings)
+        assert type(config.seed) is int and config.seed == 3
+        record = g.run_teleport(config)
+        assert json.loads(record.to_json())["seed"] == 3
+        assert record.to_json() == g.run_teleport(
+            dataclasses.replace(config, seed=3)).to_json()
+
+    @pytest.mark.parametrize("bad", [1.5, -1, np.int64(-2), np.float64(2.0), "3"])
+    def test_bad_seed_rejected_at_construction(self, d4_chain, bad):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled", seed=bad,
+                             couplings=d4_chain.couplings)
 
     def test_config_validation(self, d4_chain):
         with pytest.raises(ValueError):
@@ -439,36 +455,77 @@ def preset_couplings(name):
     return g.solve_chain(*g.preset_layout_field(name)).couplings
 
 
+RATE_PATTERNS = ((0.0, 0.0, 0.0), (30.0, 5.0, 80.0), (0.0, 100.0, 0.0),
+                 (250.0, 250.0, 250.0))
+
+
+def record_set(seeds):
+    """Records of every preset x gate mode x `RATE_PATTERNS` x seed."""
+    records = []
+    for name in sorted(g.PRESETS):
+        couplings = preset_couplings(name)
+        for mode in ("scheduled", "integrated"):
+            for rates in RATE_PATTERNS:
+                for seed in seeds:
+                    a, b = haar_qubit(np.random.default_rng(seed))
+                    config = g.ProtocolConfig(complex(a), complex(b), gate_mode=mode,
+                                              seed=seed, couplings=couplings,
+                                              dephasing=rates)
+                    records.append(g.run_teleport(config))
+    return records
+
+
+def assert_records_agree(fast, oracle, tolerance=1e-12):
+    """Pure scheduled records byte for byte; every other record with the same
+    sampled outcome and durations, and its numbers within ``tolerance``."""
+    assert len(fast) == len(oracle)
+    worst = 0.0
+    for a, b in zip(fast, oracle):
+        if a.gate_mode == "scheduled" and a.qubit3_state is not None:
+            assert a.to_json() == b.to_json()
+            continue
+        assert (a.outcome, a.stage_durations, a.total_duration) == \
+            (b.outcome, b.stage_durations, b.total_duration)
+        out_a, out_b = ((r.qubit3_state if r.qubit3_density is None else r.qubit3_density)
+                        for r in (a, b))
+        worst = max(worst, abs(a.fidelity - b.fidelity),
+                    abs(a.outcome_probability - b.outcome_probability),
+                    float(np.max(np.abs(out_a - out_b))))
+    assert worst <= tolerance
+
+
+class TestStepRunnerOracle:
+    """Closed-form stage propagators and the merged damping factor against the
+    per-segment `eigh`, per-qubit damping runner they replaced."""
+
+    def test_records_match_step_runner(self, monkeypatch):
+        seeds = (1, 2, 3, 4, 5, 6)
+        fast = record_set(seeds)
+        monkeypatch.setattr(importlib.import_module("gradion.teleport"), "_run_stage",
+                            run_stage_oracle)
+        oracle = record_set(seeds)
+        assert len(fast) == 576
+        assert_records_agree(fast, oracle)
+
+
 class TestKronFreeOperators:
-    """The broadcast `embed`, array `spin_spectrum` and sign-mask phase damping
-    against their oracles."""
+    """The broadcast `embed`, array `spin_spectrum`, closed-form propagators
+    and merged phase damping against the kron-built, dense, one-step-at-a-time
+    oracles."""
 
     def test_records_match_kron_oracle(self, monkeypatch):
-        def run_all():
-            records = []
-            for name in sorted(g.PRESETS):
-                couplings = preset_couplings(name)
-                for mode in ("scheduled", "integrated"):
-                    for rates in ((0.0, 0.0, 0.0), (30.0, 5.0, 80.0),
-                                  (0.0, 100.0, 0.0)):
-                        for seed in (1, 2, 3):
-                            a, b = haar_qubit(np.random.default_rng(seed))
-                            config = g.ProtocolConfig(
-                                complex(a), complex(b), gate_mode=mode, seed=seed,
-                                couplings=couplings, dephasing=rates)
-                            records.append(g.run_teleport(config).to_json())
-            return records
-
-        fast = run_all()
-        for module in ("operators", "pulses", "integrate", "teleport"):
-            monkeypatch.setattr(importlib.import_module(f"gradion.{module}"),
-                                "embed", embed3)
+        seeds = (1, 2, 3)
+        fast = record_set(seeds)
+        for module in (util, *(importlib.import_module(f"gradion.{name}") for name in
+                               ("operators", "pulses", "integrate", "teleport"))):
+            monkeypatch.setattr(module, "embed", embed3)
         monkeypatch.setattr(importlib.import_module("gradion.pulses"), "_spin_diagonal",
                             lambda w, J, J13: np.array(
                                 [spin_energy_oracle(SimpleNamespace(w=w, J=J, J13=J13), b)
                                  for b in range(8)]))
-        monkeypatch.setattr(_Register, "evolve", dense_evolve_oracle)
-        assert fast == run_all()
+        monkeypatch.setattr(importlib.import_module("gradion.teleport"), "_run_stage",
+                            partial(run_stage_oracle, evolve=dense_evolve_oracle))
+        assert_records_agree(fast, record_set(seeds))
 
     @pytest.mark.parametrize("mode", ["scheduled", "integrated"])
     def test_only_state_preparation_calls_kron(self, monkeypatch, d4_chain, mode):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import gradion as g
+from gradion.operators import Z_SIGNS, embed
+from gradion.pulses import segment_unitary, spin_energies
 from gradion.search import CandidateParams
 from gradion.trap import ConvergenceError, UnstableModesError, _gradient, _hessian, _potential
 
@@ -50,8 +52,8 @@ PAULI_Z_ORACLE = tuple(embed3(SZ2, ion) for ion in (1, 2, 3))
 
 
 def dense_evolve_oracle(self, U, wall):
-    """`teleport._Register.evolve` with phase damping as the dense z @ rho @ z,
-    the form the sign masks replaced, kept as their reference."""
+    """`evolve_oracle` with phase damping as the dense z @ rho @ z, the form
+    the sign masks replaced, kept as their reference."""
     if not self.mixed:
         self.state = U @ self.state
         return
@@ -61,6 +63,76 @@ def dense_evolve_oracle(self, U, wall):
             keep = 0.5 * (1.0 + np.exp(-rate * wall))
             rho = keep * rho + (1.0 - keep) * (z @ rho @ z)
     self.state = rho
+
+
+# -- the per-segment step runner `integrate.stage_propagators` and the merged
+# damping factor replaced: one `eigh` per segment and phase damping one qubit
+# at a time, kept verbatim as their reference
+
+def _drive_hamiltonian_oracle(slot):
+    durations = {p.duration for p in slot.pulses}
+    if len(durations) != 1:
+        raise ValueError("simultaneous pulses must share one realized duration")
+    H = np.zeros((8, 8), dtype=complex)
+    for p in slot.pulses:
+        coupling_op = np.array([[0.0, np.exp(1j * p.phi)],
+                                [np.exp(-1j * p.phi), 0.0]])
+        H -= 0.5 * p.rabi * embed(coupling_op, p.ion)
+    return H, durations.pop()
+
+
+def segment_hamiltonians_oracle(schedule, couplings):
+    """(hamiltonian, physical duration) per segment, in order."""
+    h_spin = np.diag(spin_energies(couplings, schedule.frame)).astype(complex)
+    for item in schedule.items:
+        if isinstance(item, g.FreeEvolution):
+            yield h_spin, item.duration
+        else:
+            h_drive, duration = _drive_hamiltonian_oracle(item)
+            yield h_drive + h_spin, duration
+
+
+def integrate_segment_unitary_oracle(hamiltonian, duration):
+    """exp(-i H t) of a constant Hermitian H, from its eigendecomposition."""
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    return (vectors * np.exp(-1j * energies * duration)) @ vectors.conj().T
+
+
+_Z_MASKS_ORACLE = tuple(np.outer(s, s) for s in Z_SIGNS.T)
+
+
+def evolve_oracle(self, U, wall):
+    """Apply U, then (density matrix only) ``wall`` seconds of phase damping."""
+    if not self.mixed:
+        self.state = U @ self.state
+        return
+    rho = U @ self.state @ U.conj().T
+    for mask, rate in zip(_Z_MASKS_ORACLE, self.rates):
+        if rate > 0.0 and wall > 0.0:
+            keep = 0.5 * (1.0 + np.exp(-rate * wall))
+            rho = keep * rho + (1.0 - keep) * (mask * rho)
+    self.state = rho
+
+
+def steps_oracle(stage, config):
+    """(unitary, wall-clock duration) per step of a stage in the config's gate mode."""
+    if config.gate_mode == "ideal":
+        yield stage, 0.0
+    elif config.gate_mode == "integrated":
+        hams = segment_hamiltonians_oracle(stage, config.couplings)
+        for item, (H, physical) in zip(stage.items, hams):
+            yield integrate_segment_unitary_oracle(H, physical), item.duration
+    else:
+        for item in stage.items:
+            yield segment_unitary(item, config.couplings, stage.frame), item.duration
+
+
+def run_stage_oracle(register, stage, config, evolve=evolve_oracle):
+    """`teleport._run_stage` one step at a time; ``evolve(register, U, wall)``
+    applies a step."""
+    for U, wall in steps_oracle(stage, config):
+        evolve(register, U, wall)
+    return 0.0 if config.gate_mode == "ideal" else stage.total_duration
 
 
 def carrier_spectrum_oracle(couplings):
