@@ -10,10 +10,11 @@ ordered list of segments: pulse slots (one or more simultaneous rotations
 on distinct ions, booked at the fixed implementation time t_m) and free
 intervals. One `PulseContext` -- frame, slot time t_m, Rabi frequency,
 and optional lab-frame commensuration -- fixes how every builder realizes a
-rotation as a pulse. Segment unitaries are ideal: rotations act
-instantaneously and spin-spin phases accrue only during free intervals;
-`integrate.integrate_exact` propagates the full constant Hamiltonian of
-every segment exactly, spin-spin terms included during pulses, and so
+rotation as a pulse. `stage_propagators` builds all of a schedule's
+segment propagators at once, in the ideal segment model (``exact=False``)
+or the exact one (``exact=True``, see `integrate`). Ideal rotations act
+instantaneously, so spin-spin phases accrue only during free intervals;
+the exact model keeps the spin-spin terms on during pulses too, and so
 quantifies what that idealization discards.
 
 Sign conventions (sigma_z |1> = +|1>) make two identities hold exactly:
@@ -35,7 +36,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .couplings import CouplingSet, _spin_diagonal
-from .operators import embed
+from .operators import Z_SIGNS, embed
 
 LAB = "lab"
 INTERACTION = "interaction"
@@ -76,8 +77,9 @@ class SpinState:
     @classmethod
     def product(cls, q1, q2, q3, frame: str = INTERACTION) -> "SpinState":
         """Build |q1> x |q2> x |q3> from three 2-component qubit states."""
-        amps = np.kron(np.kron(np.asarray(q1, complex), np.asarray(q2, complex)),
-                       np.asarray(q3, complex))
+        a, b, c = (np.asarray(q, complex) for q in (q1, q2, q3))
+        # the products kron(kron(a, b), c) forms, in its order, without its overhead
+        amps = ((a[:, None, None] * b[None, :, None]) * c[None, None, :]).ravel()
         amps = amps / np.linalg.norm(amps)
         return cls(amps, frame)
 
@@ -85,6 +87,9 @@ class SpinState:
 @dataclass(frozen=True)
 class Pulse:
     """One carrier rotation: ion, angle, phase, Rabi frequency, realized length.
+
+    The ion is 1, 2 or 3; theta, phi and rabi are finite (``rabi = 0`` is an
+    undriven pulse) and the duration is finite and non-negative.
 
     ``duration`` is theta / rabi; in the lab frame it is nudged onto a common
     multiple of the qubit periods and the integers N_i with the leftover
@@ -99,6 +104,15 @@ class Pulse:
     cycles: tuple[int, int, int] | None = None
     residuals: tuple[float, float, float] | None = None
 
+    def __post_init__(self) -> None:
+        if self.ion not in (1, 2, 3) or isinstance(self.ion, float):
+            raise ValueError(f"ion index must be 1, 2, or 3, got {self.ion!r}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)
+                and math.isfinite(self.rabi)):
+            raise ValueError("theta, phi and rabi must be finite")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValueError("pulse duration must be finite and non-negative")
+
 
 @dataclass(frozen=True)
 class PulseSlot:
@@ -110,6 +124,8 @@ class PulseSlot:
 
     def __post_init__(self) -> None:
         ions = [p.ion for p in self.pulses]
+        if not ions:
+            raise ValueError("a pulse slot needs at least one pulse")
         if len(set(ions)) != len(ions):
             raise ValueError("simultaneous pulses must target distinct ions")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
@@ -375,24 +391,124 @@ def hadamard_schedule(ion: int, ctx: PulseContext = PulseContext()) -> PulseSche
 
 # -- applying schedules -----------------------------------------------------
 
-def slot_unitary(slot: PulseSlot) -> np.ndarray:
-    U = np.eye(8, dtype=complex)
-    for pulse in slot.pulses:
-        U = single_qubit_rotation(pulse.ion, pulse.theta, pulse.phi) @ U
-    return U
+#: per ion, the basis indices with its bit clear and, aligned, with it set
+_PAIRS_LO = np.array([np.flatnonzero(s < 0) for s in Z_SIGNS.T])
+_PAIRS_HI = np.array([np.flatnonzero(s > 0) for s in Z_SIGNS.T])
+#: per ion, the flat 8x8 positions of its blocks, (lo-lo, hi-hi, lo-hi, hi-lo) x pair
+_BLOCK_POSITIONS = np.stack((8 * _PAIRS_LO + _PAIRS_LO, 8 * _PAIRS_HI + _PAIRS_HI,
+                             8 * _PAIRS_LO + _PAIRS_HI, 8 * _PAIRS_HI + _PAIRS_LO), axis=1)
+
+
+def _rotation_blocks(pulses) -> np.ndarray:
+    """(n, 4, 1) ideal blocks: the carrier rotation, in `rotation_2x2`'s arithmetic."""
+    theta, phi = np.array([(p.theta, p.phi) for p in pulses]).T[..., None]
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.concatenate((c, c, 1j * s * np.exp([1j, -1j] * phi)), axis=1)[..., None]
+
+
+def _carrier_blocks(pulses, energies: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) exact pulse blocks, spin energies kept: per basis pair,
+    e^{-imt}[cos(wt) I - i sin(wt)/w (B - mI)] with sin(wt)/w -> t at w = 0."""
+    ions = np.array([p.ion for p in pulses]) - 1
+    rabi = np.array([p.rabi for p in pulses])[:, None]
+    t = np.array([p.duration for p in pulses])[:, None]
+    coupling = -0.5 * rabi * np.exp(1j * np.array([p.phi for p in pulses]))[:, None]
+    lo, hi = _PAIRS_LO[ions], _PAIRS_HI[ions]
+    mean = 0.5 * (energies[lo] + energies[hi])
+    half_gap = 0.5 * (energies[lo] - energies[hi])
+    w = np.sqrt(half_gap ** 2 + (0.5 * rabi) ** 2)
+    sinc = np.divide(np.sin(w * t), w, out=np.broadcast_to(t, w.shape).copy(),
+                     where=w > 0.0)
+    phase = np.exp(-1j * mean * t)
+    cos_term, sin_term = phase * np.cos(w * t), -1j * phase * sinc
+    return np.stack((cos_term + sin_term * half_gap, cos_term - sin_term * half_gap,
+                     sin_term * coupling, sin_term * coupling.conj()), axis=1)
+
+
+def _place_blocks(U: np.ndarray, rows, pulses, blocks: np.ndarray) -> None:
+    """Write each pulse's blocks into its row of the (m, 8, 8) stack U."""
+    ions = np.array([p.ion for p in pulses]) - 1
+    U.reshape(len(U), 64)[np.asarray(rows)[:, None, None], _BLOCK_POSITIONS[ions]] = blocks
+
+
+def _drive_hamiltonian(slot: PulseSlot) -> tuple[np.ndarray, float]:
+    durations = {p.duration for p in slot.pulses}
+    if len(durations) != 1:
+        raise ValueError("simultaneous pulses must share one realized duration")
+    H = np.zeros((8, 8), dtype=complex)
+    for p in slot.pulses:
+        coupling_op = np.array([[0.0, np.exp(1j * p.phi)],
+                                [np.exp(-1j * p.phi), 0.0]])
+        H -= 0.5 * p.rabi * embed(coupling_op, p.ion)
+    return H, durations.pop()
+
+
+def integrate_segment_unitary(hamiltonian: np.ndarray, duration) -> np.ndarray:
+    """exp(-i H t) of a constant Hermitian H, from its eigendecomposition.
+
+    Broadcasts over a stack of Hamiltonians (..., 8, 8) with one duration
+    each (shape ``...``).
+    """
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    phases = np.exp(-1j * energies * np.asarray(duration)[..., None])
+    return (vectors * phases[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+
+
+def stage_propagators(schedule: PulseSchedule, couplings: CouplingSet,
+                      exact: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator (n, 8, 8) and wall-clock duration (n,) of every segment.
+
+    A free segment is the diagonal exp(-i E t). A pulse couples only the
+    basis pairs that differ in its ion's bit: four 2x2 blocks, the carrier
+    rotation itself (ideal) or its closed form with the spin energies kept
+    (exact). Simultaneous pulses are the product of their blocks (ideal) or
+    go through one stacked `integrate_segment_unitary` (exact).
+    """
+    items = schedule.items
+    if exact and schedule.frame != INTERACTION:
+        raise ValueError("the exact segment model works in the interaction frame only")
+    energies = spin_energies(couplings, schedule.frame)
+    walls = np.array([item.duration for item in items], dtype=float)
+    U = np.zeros((len(items), 8, 8), dtype=complex)
+    free, first, later, joint = [], [], ([], []), []  # later: an ideal slot's 2nd, 3rd
+    for k, item in enumerate(items):
+        if isinstance(item, FreeEvolution):
+            free.append(k)
+        elif exact and len(item.pulses) > 1:
+            joint.append(k)
+        else:
+            first.append(k)
+            for rank in range(1, len(item.pulses)):
+                later[rank - 1].append(k)
+    if free:
+        diagonal = np.exp(-1j * energies * walls[free][:, None])
+        U[np.array(free)[:, None], np.arange(8), np.arange(8)] = diagonal
+    if first:
+        pulses = [items[k].pulses[0] for k in first]
+        _place_blocks(U, first, pulses, _carrier_blocks(pulses, energies) if exact
+                      else _rotation_blocks(pulses))
+    for rank, owners in enumerate(later, start=1):
+        if owners:
+            pulses = [items[k].pulses[rank] for k in owners]
+            placed = np.zeros((len(owners), 8, 8), dtype=complex)
+            _place_blocks(placed, range(len(owners)), pulses, _rotation_blocks(pulses))
+            U[owners] = placed @ U[owners]
+    if joint:
+        H, t = zip(*(_drive_hamiltonian(items[k]) for k in joint))
+        U[joint] = integrate_segment_unitary(np.array(H) + np.diag(energies), np.array(t))
+    return U, walls
 
 
 def segment_unitary(item, couplings: CouplingSet, frame: str) -> np.ndarray:
-    if isinstance(item, FreeEvolution):
-        return free_evolution(couplings, item.duration, frame)
-    return slot_unitary(item)
+    """Ideal unitary of one segment: `stage_propagators` of a one-segment schedule."""
+    return stage_propagators(PulseSchedule((item,), frame), couplings, exact=False)[0][0]
 
 
 def schedule_unitary(schedule: PulseSchedule, couplings: CouplingSet) -> np.ndarray:
     """Composed 8x8 unitary of the whole schedule (ideal segment model)."""
     U = np.eye(8, dtype=complex)
-    for item in schedule.items:
-        U = segment_unitary(item, couplings, schedule.frame) @ U
+    for step in stage_propagators(schedule, couplings, exact=False)[0]:
+        U = step @ U
     return U
 
 
@@ -403,8 +519,8 @@ def apply_schedule(state: SpinState, schedule: PulseSchedule,
         raise ValueError(
             f"frame mismatch: state is {state.frame!r}, schedule is {schedule.frame!r}")
     amps = state.amplitudes
-    for item in schedule.items:
-        amps = segment_unitary(item, couplings, schedule.frame) @ amps
+    for step in stage_propagators(schedule, couplings, exact=False)[0]:
+        amps = step @ amps
     return SpinState(amps, state.frame)
 
 
@@ -448,13 +564,9 @@ def parse_schedule(text: str) -> PulseSchedule:
             if fields[0] == "FREE" and len(fields) == 2:
                 items.append(FreeEvolution(float(fields[1])))
             elif fields[0] == "PULSE" and len(fields) == 6:
-                ion = int(fields[1])
-                if ion not in (1, 2, 3):
-                    raise ValueError(f"ion index must be 1, 2, or 3, got {ion}")
                 theta, phi, rabi, dur = map(float, fields[2:])
-                if not all(map(math.isfinite, (theta, phi, rabi))):
-                    raise ValueError("theta, phi and rabi must be finite")
-                items.append(PulseSlot((Pulse(ion, theta, phi, rabi, dur),), dur))
+                items.append(PulseSlot((Pulse(int(fields[1]), theta, phi, rabi, dur),),
+                                       dur))
             else:
                 raise ValueError("unrecognized segment")
         except (ValueError, IndexError) as exc:

@@ -12,11 +12,11 @@ One stage runner serves all three gate modes: the stages entangle,
 encode and rotate, the measurement of ions 1,2, then the correct stage. A
 stage is a sequence of steps, each a unitary and a wall-clock duration. In
 "ideal" mode it is one exact gate matrix of zero duration
-(`IDEAL_STAGES`); "scheduled" takes the stage's pulse schedule segment by
-segment; "integrated" replaces the segment unitaries with the exact
-propagators of their constant Hamiltonians, spin-spin terms kept active
-during pulses, all built at once by `integrate.stage_propagators`. Both
-build their stage schedules from the config's derived `PulseContext`.
+(`IDEAL_STAGES`). "scheduled" and "integrated" build the stage's pulse
+schedule from the config's derived `PulseContext`, and all of its segment
+unitaries at once with `pulses.stage_propagators`: ideal ones, or in
+"integrated" the exact propagators of their constant Hamiltonians,
+spin-spin terms kept active during pulses.
 Optional per-qubit dephasing (phase damping applied after every step,
 scaled by its wall-clock duration) makes the register a density matrix;
 it requires a mode with durations, so "ideal" rejects nonzero rates.
@@ -39,11 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .couplings import CouplingSet
-from .integrate import stage_propagators
 from .operators import Z_SIGNS, cnot_matrix, embed, hadamard_matrix, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
-                     hadamard_schedule, segment_unitary)
+                     hadamard_schedule, stage_propagators)
 
 GATE_MODES = ("ideal", "scheduled", "integrated")
 
@@ -250,9 +249,7 @@ class _Register:
             for U in unitaries:
                 self.state = U @ self.state
             return
-        if not isinstance(unitaries, np.ndarray):  # scheduled segments, one by one
-            unitaries = np.array(list(unitaries), dtype=complex).reshape(-1, 8, 8)
-        factors = np.exp(-np.multiply.outer(np.asarray(walls), self.damping_rates))
+        factors = np.exp(-np.multiply.outer(walls, self.damping_rates))
         rho = self.state
         for U_k, U_k_dagger, F_k in zip(unitaries, unitaries.conj().swapaxes(1, 2),
                                         factors):
@@ -295,10 +292,7 @@ def _steps(stage, config: ProtocolConfig):
     """(unitaries, wall-clock durations) of a stage's steps in the config's gate mode."""
     if config.gate_mode == "ideal":
         return (stage,), (0.0,)
-    if config.gate_mode == "integrated":
-        return stage_propagators(stage, config.couplings)
-    return ((segment_unitary(item, config.couplings, stage.frame) for item in stage.items),
-            [item.duration for item in stage.items])
+    return stage_propagators(stage, config.couplings, config.gate_mode == "integrated")
 
 
 def _run_stage(register: _Register, stage, config: ProtocolConfig) -> float:

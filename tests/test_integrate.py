@@ -159,6 +159,12 @@ class TestStagePropagators:
         assert max(float(np.max(np.abs(u - v))) for u, v in zip(U, oracle)) <= 1e-13
         assert stage_propagators(g.PulseSchedule(()), couplings)[0].shape == (0, 8, 8)
 
+    def test_exact_model_is_interaction_frame_only(self, d4_chain):
+        sched = g.refocused_zz(g.PulseContext(d4_chain.couplings, g.LAB))
+        with pytest.raises(ValueError, match="interaction frame only"):
+            stage_propagators(sched, d4_chain.couplings)
+        assert stage_propagators(sched, d4_chain.couplings, exact=False)[0].shape == (8, 8, 8)
+
     def test_slot_pulses_must_share_a_duration(self, d4_chain):
         rabi = g.TWO_PI * 1e6
         slot = g.PulseSlot((g.Pulse(1, np.pi, 0.0, rabi, np.pi / rabi),

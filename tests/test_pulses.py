@@ -9,11 +9,13 @@ from scipy.linalg import expm
 
 import gradion as g
 from gradion.operators import embed, max_unitarity_defect
-from gradion.pulses import rotation_2x2
+from gradion.pulses import rotation_2x2, stage_propagators
+from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
 
 from util import (cnot_permutation, commensuration_scan_oracle, free_oracle,
-                  embed3, phase_aligned_deviation, pulse_oracle, random_couplings,
-                  schedule_oracle_unitary)
+                  embed3, kron3, phase_aligned_deviation, pulse_oracle,
+                  random_couplings, schedule_oracle_unitary,
+                  segment_unitary as segment_unitary_oracle)
 
 CNOT_ANGLES = (0.5 * np.pi, np.pi, 3.5 * np.pi)
 
@@ -516,6 +518,139 @@ class TestApplySchedule:
                              couplings)
 
 
+class TestSpinState:
+    def test_product_matches_kron_bit_for_bit(self, rng):
+        for _ in range(100):
+            qubits = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            amps = kron3(*qubits)
+            expected = amps / np.linalg.norm(amps)
+            assert g.SpinState.product(*qubits).amplitudes.tobytes() == expected.tobytes()
+
+
+RABI = g.TWO_PI * 1e6
+
+
+class TestPulseValidation:
+    """A `Pulse` drives one of the three ions with finite numbers, or is refused."""
+
+    @pytest.mark.parametrize("ion", [0, -1, -2, 4, 2.0])
+    def test_bad_ion_rejected(self, ion):
+        # 0 and -2 used to drive ions 3 and 1 through negative indexing, and
+        # a float index fails only inside the stage builder
+        with pytest.raises(ValueError, match="ion index must be 1, 2, or 3"):
+            g.Pulse(ion, np.pi, 0.0, RABI, np.pi / RABI)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["theta", "phi", "rabi"])
+    def test_non_finite_angle_phase_or_rabi_rejected(self, name, bad):
+        # a NaN theta used to reach schedule_unitary as a NaN matrix
+        fields = dict(ion=2, theta=np.pi, phi=0.0, rabi=RABI, duration=np.pi / RABI)
+        fields[name] = bad
+        with pytest.raises(ValueError, match="theta, phi and rabi must be finite"):
+            g.Pulse(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9])
+    def test_bad_duration_rejected(self, bad):
+        with pytest.raises(ValueError, match="pulse duration must be finite and non-negative"):
+            g.Pulse(2, np.pi, 0.0, RABI, bad)
+
+    def test_zero_rabi_and_zero_duration_allowed(self):
+        assert g.Pulse(2, 0.0, 0.3, 0.0, 1e-6).rabi == 0.0
+        assert g.Pulse(2, 0.0, 0.3, RABI, 0.0).duration == 0.0
+
+    def test_empty_slot_rejected(self):
+        with pytest.raises(ValueError, match="at least one pulse"):
+            g.PulseSlot((), 2.5e-6)
+
+
+def oracle_composition(schedule, couplings):
+    """The per-segment oracle's unitaries, composed first to last."""
+    U = np.eye(8, dtype=complex)
+    for item in schedule.items:
+        U = segment_unitary_oracle(item, couplings, schedule.frame) @ U
+    return U
+
+
+def assert_stage_matches_oracle(schedule, couplings):
+    """Every ideal-model propagator equals the per-segment path's, bit for bit."""
+    U, walls = stage_propagators(schedule, couplings, exact=False)
+    assert U.shape == (len(schedule.items), 8, 8)
+    assert walls.tolist() == [item.duration for item in schedule.items]
+    for u, item in zip(U, schedule.items):
+        assert np.array_equal(u, segment_unitary_oracle(item, couplings, schedule.frame))
+    assert np.array_equal(g.schedule_unitary(schedule, couplings),
+                          oracle_composition(schedule, couplings))
+
+
+@st.composite
+def random_schedules(draw):
+    """Free intervals and slots of one to three simultaneous pulses, in either frame."""
+    couplings = random_couplings(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    items = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            items.append(g.FreeEvolution(draw(st.floats(0.0, 1e-4))))
+            continue
+        ions = draw(st.permutations((1, 2, 3)))[:draw(st.integers(1, 3))]
+        pulses = []
+        for ion in ions:
+            theta = draw(st.floats(-8 * np.pi, 8 * np.pi))
+            pulses.append(g.Pulse(ion, theta, draw(st.floats(-2 * np.pi, 2 * np.pi)),
+                                  RABI, abs(theta) / RABI))
+        items.append(g.PulseSlot(tuple(pulses), 2.5e-6))
+    return g.PulseSchedule(tuple(items), draw(st.sampled_from((g.LAB, g.INTERACTION)))), couplings
+
+
+class TestStageBuilderOracle:
+    """The ideal model's whole-stage builder against the per-segment path it
+    replaced (`util.segment_unitary`), bit for bit."""
+
+    @pytest.mark.parametrize("preset", sorted(g.PRESETS))
+    def test_protocol_stages_and_corrections(self, preset):
+        couplings = g.solve_chain(*g.preset_layout_field(preset)).couplings
+        segments = 0
+        for rabi in (g.TWO_PI * 0.5e6, g.TWO_PI * 1e6, g.TWO_PI * 2e6):
+            for frame in (g.LAB, g.INTERACTION):
+                ctx = g.PulseContext(couplings, frame, rabi=rabi)
+                for sched in (*protocol_schedules(ctx).values(),
+                              *(correction_schedule(bits, ctx) for bits in CORRECTIONS)):
+                    assert_stage_matches_oracle(sched, couplings)
+                    segments += len(sched.items)
+        assert segments == 282
+
+    def test_lab_frame_cnot_of_every_pair_that_commensurates(self):
+        # the lab-frame cnot report's gate_deviation_from_cnot amplifies any
+        # last-bit change of these unitaries
+        built = 0
+        for preset in sorted(g.PRESETS):
+            couplings = g.solve_chain(*g.preset_layout_field(preset)).couplings
+            ctx = g.PulseContext(couplings, g.LAB, commensurate=True)
+            for pair in ((1, 2), (2, 1), (2, 3), (3, 2)):
+                try:
+                    sched = g.build_cnot(*pair, ctx)
+                except g.CommensurationError:
+                    continue
+                assert_stage_matches_oracle(sched, couplings)
+                built += 1
+        assert built == 32  # 16 of the 48 fits are refused
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=random_schedules(), seed=st.integers(0, 2**32 - 1))
+    def test_random_schedules(self, drawn, seed):
+        sched, couplings = drawn
+        assert_stage_matches_oracle(sched, couplings)
+        amps = [1, 1j] @ np.random.default_rng(seed).standard_normal((2, 8))
+        state = g.SpinState(amps / np.linalg.norm(amps), sched.frame)
+        expected = state.amplitudes
+        for item in sched.items:
+            expected = segment_unitary_oracle(item, couplings, sched.frame) @ expected
+        assert np.array_equal(g.apply_schedule(state, sched, couplings).amplitudes,
+                              expected)
+        for item in sched.items:
+            assert np.array_equal(g.pulses.segment_unitary(item, couplings, sched.frame),
+                                  segment_unitary_oracle(item, couplings, sched.frame))
+
+
 @st.composite
 def random_gate_schedules(draw):
     """A CNOT or Hadamard schedule over random couplings, in either frame."""
@@ -582,8 +717,8 @@ class TestSerialization:
     @pytest.mark.parametrize("line, message", [
         ("FREE nan", "free evolution duration must be finite"),
         ("FREE inf", "free evolution duration must be finite"),
-        ("PULSE 2 3.14 0 6.28e6 nan", "slot duration must be finite"),
-        ("PULSE 2 3.14 0 6.28e6 inf", "slot duration must be finite"),
+        ("PULSE 2 3.14 0 6.28e6 nan", "pulse duration must be finite"),
+        ("PULSE 2 3.14 0 6.28e6 inf", "pulse duration must be finite"),
         ("PULSE 2 inf 0 6.28e6 5e-7", "theta, phi and rabi must be finite"),
         ("PULSE 2 3.14 nan 6.28e6 5e-7", "theta, phi and rabi must be finite"),
         ("PULSE 2 3.14 0 -inf 5e-7", "theta, phi and rabi must be finite"),

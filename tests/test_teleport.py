@@ -344,6 +344,28 @@ class TestRunIntegrated:
         assert "qubit3_density" in payload and "qubit3_state" not in payload
 
 
+class TestEmptyStage:
+    """The identity correction is an empty schedule: no step, no duration."""
+
+    @pytest.mark.parametrize("rates", [(0.0, 0.0, 0.0), (30.0, 5.0, 80.0)],
+                             ids=["pure", "density"])
+    @pytest.mark.parametrize("mode", ["scheduled", "integrated"])
+    def test_identity_correction_leaves_register_unchanged(self, d4_chain, mode, rates):
+        teleport = importlib.import_module("gradion.teleport")
+        config = g.ProtocolConfig(0.6, 0.8j, gate_mode=mode, seed=4,
+                                  couplings=d4_chain.couplings, dephasing=rates)
+        stage = correction_schedule((0, 1), config.pulses)
+        unitaries, walls = teleport._steps(stage, config)
+        assert unitaries.shape == (0, 8, 8) and walls.shape == (0,)
+        register = teleport._Register(g.prepare_initial(0.6, 0.8j).amplitudes, rates)
+        assert register.mixed == (rates[0] > 0.0)
+        before = register.state.copy()
+        assert teleport._run_stage(register, stage, config) == 0.0
+        assert np.array_equal(register.state, before)
+        record = g.run_teleport(config, force_outcome=(0, 1))
+        assert record.correction == "identity" and record.stage_durations["correct"] == 0.0
+
+
 class TestDephasing:
     """Qubit-3 phase damping, pushed through the protocol by hand.
 
@@ -517,7 +539,7 @@ class TestKronFreeOperators:
         seeds = (1, 2, 3)
         fast = record_set(seeds)
         for module in (util, *(importlib.import_module(f"gradion.{name}") for name in
-                               ("operators", "pulses", "integrate", "teleport"))):
+                               ("operators", "pulses", "teleport"))):
             monkeypatch.setattr(module, "embed", embed3)
         monkeypatch.setattr(importlib.import_module("gradion.pulses"), "_spin_diagonal",
                             lambda w, J, J13: np.array(
@@ -528,8 +550,8 @@ class TestKronFreeOperators:
         assert_records_agree(fast, record_set(seeds))
 
     @pytest.mark.parametrize("mode", ["scheduled", "integrated"])
-    def test_only_state_preparation_calls_kron(self, monkeypatch, d4_chain, mode):
-        # a kron back on the per-segment path would multiply this count
+    def test_run_calls_no_kron(self, monkeypatch, d4_chain, mode):
+        # state preparation and every stage build their products without kron
         callers = []
         kron = np.kron
 
@@ -541,7 +563,7 @@ class TestKronFreeOperators:
         config = g.ProtocolConfig(0.6, 0.8j, gate_mode=mode, seed=4,
                                   couplings=d4_chain.couplings, dephasing=(30.0, 5.0, 80.0))
         g.run_teleport(config)
-        assert callers == ["product", "product"]
+        assert callers == []
 
 
 @st.composite

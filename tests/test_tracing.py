@@ -81,7 +81,6 @@ def test_call_counts_of_one_chain_and_one_scheduled_run(tracing):
         "teleport.run_teleport": 1,
         "teleport.protocol_schedules": 1,
         "pulses.build_cnot": 2,
-        "pulses.segment_unitary": 40,
     }
 
 

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 import gradion as g
 from gradion.operators import Z_SIGNS, embed
-from gradion.pulses import segment_unitary, spin_energies
+from gradion.pulses import free_evolution, single_qubit_rotation, spin_energies
 from gradion.search import CandidateParams
 from gradion.trap import ConvergenceError, UnstableModesError, _gradient, _hessian, _potential
 
@@ -112,6 +112,23 @@ def evolve_oracle(self, U, wall):
             keep = 0.5 * (1.0 + np.exp(-rate * wall))
             rho = keep * rho + (1.0 - keep) * (mask * rho)
     self.state = rho
+
+
+# -- the per-segment ideal path `pulses.stage_propagators` replaced: one
+# embedded rotation per pulse, multiplied up per slot, kept verbatim as its
+# reference
+
+def slot_unitary(slot: g.PulseSlot) -> np.ndarray:
+    U = np.eye(8, dtype=complex)
+    for pulse in slot.pulses:
+        U = single_qubit_rotation(pulse.ion, pulse.theta, pulse.phi) @ U
+    return U
+
+
+def segment_unitary(item, couplings: g.CouplingSet, frame: str) -> np.ndarray:
+    if isinstance(item, g.FreeEvolution):
+        return free_evolution(couplings, item.duration, frame)
+    return slot_unitary(item)
 
 
 def steps_oracle(stage, config):
