@@ -26,7 +26,7 @@ from .integrate import IntegrationResult, integrate_exact
 from .search import (CandidateEvaluation, CandidateParams, SearchResult, SearchSpace,
                      evaluate_candidate, maximize_J_linear, maximize_J_multitrap)
 from .teleport import (IDEAL_STAGES, ProtocolConfig, TeleportRecord, fidelity,
-                       measure_ions12, prepare_initial, run_teleport)
+                       prepare_initial, run_teleport)
 from .presets import PRESETS, REFERENCE, layout_field, preset_layout_field
 
 __version__ = "0.1.0"

@@ -230,14 +230,17 @@ def _couplings_payload(settings: dict, chain: Chain) -> dict:
     return payload
 
 
-def _couplings_csv(payload: dict) -> list[dict]:
-    if payload["mode"] == "multi":
-        cols = ["d_um", "w1_2pi_mhz", "w2_2pi_mhz", "gradient_t_per_m",
-                "delta_um", "eps_max", "h_um", "j_2pi_khz", "j13_2pi_khz"]
-    else:
-        cols = ["h_um", "w_2pi_mhz", "gradient_t_per_m", "eps_max",
-                "j_2pi_khz", "j13_2pi_khz"]
-    return [{c: payload[c] for c in cols}]
+#: CSV columns of a layout's design row, in `couplings`, `table1` and `table3`
+_CSV_COLUMNS = {
+    "multi": ("d_um", "w1_2pi_mhz", "w2_2pi_mhz", "gradient_t_per_m", "delta_um",
+              "eps_max", "h_um", "j_2pi_khz", "j13_2pi_khz"),
+    "linear": ("h_um", "w_2pi_mhz", "gradient_t_per_m", "eps_max", "j_2pi_khz",
+               "j13_2pi_khz"),
+}
+
+
+def _csv_row(payload: dict, mode: str) -> list[dict]:
+    return [{c: payload[c] for c in _CSV_COLUMNS[mode]}]
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -261,7 +264,7 @@ def cmd_modes(args) -> int:
 def cmd_couplings(args) -> int:
     settings = _merge_settings(args)
     payload = _couplings_payload(settings, _chain(settings))
-    _emit(args, payload, _couplings_csv(payload))
+    _emit(args, payload, _csv_row(payload, payload["mode"]))
     return 0
 
 
@@ -318,9 +321,7 @@ def cmd_table1(args) -> int:
         "j13_2pi_khz": result.J13 / (TWO_PI * 1e3),
         "evaluations": result.evaluations,
     }
-    cols = ["d_um", "w1_2pi_mhz", "w2_2pi_mhz", "gradient_t_per_m", "delta_um",
-            "eps_max", "h_um", "j_2pi_khz", "j13_2pi_khz"]
-    _emit(args, payload, [{c: payload[c] for c in cols}])
+    _emit(args, payload, _csv_row(payload, "multi"))
     return 0
 
 
@@ -340,9 +341,7 @@ def cmd_table3(args) -> int:
         "j13_2pi_khz": result.J13 / (TWO_PI * 1e3),
         "evaluations": result.evaluations,
     }
-    cols = ["h_um", "w_2pi_mhz", "gradient_t_per_m", "eps_max", "j_2pi_khz",
-            "j13_2pi_khz"]
-    _emit(args, payload, [{c: payload[c] for c in cols}])
+    _emit(args, payload, _csv_row(payload, "linear"))
     return 0
 
 

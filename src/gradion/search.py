@@ -4,19 +4,23 @@ Two-stage exhaustive grid search over trap frequencies and field gradient,
 subject to a stable equilibrium and a ceiling on the effective Lamb-Dicke
 parameter (default 0.05). J grows monotonically with the gradient at fixed
 trap frequencies, so each constrained optimum sits at the largest feasible
-gradient; the grids are still swept exhaustively. Each stage is one
-`_sweep_stage` over (W1, W2, gradient) arrays: one elementwise Newton solve
-gives the outer displacement of every W1 (it depends on neither W2 nor the
-gradient), the closed-form modes and [K^-1]_12 of every (W1, W2) chain
-follow elementwise, and so do J and eps_max at every gradient, with no
-eigensolver and no matrix product. Only the winner is solved as a full
-chain, by `evaluate_candidate`, for the reported numbers. J and eps_max do
-not depend on the field offset b0 or on eta; candidates take both from
-`FieldConfig`'s defaults.
+gradient; the grids are still swept exhaustively. One driver, `_search`,
+serves both layouts: a micro-trap array at spacing d, and the linear trap as
+the d = 0 case with its one frequency as the only point of both frequency
+grids. Each stage is one `_sweep_stage` over (W1, W2, gradient) arrays: one
+elementwise Newton solve gives the outer displacement of every W1 (it
+depends on neither W2 nor the gradient), the closed-form modes and
+[K^-1]_12 of every (W1, W2) chain follow elementwise, and so do J and
+eps_max at every gradient, with no eigensolver and no matrix product. Only
+the winner is solved as a full chain, by `solve_chain`, for the reported
+numbers. J and eps_max do not depend on the field offset b0 or on eta;
+candidates take both from `FieldConfig`'s defaults.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,8 +49,13 @@ class SearchSpace:
     def __post_init__(self) -> None:
         for name in ("w1", "w2", "gradient"):
             lo, hi, count = getattr(self, name)
-            if not (0.0 < lo <= hi) or count < 1:
-                raise ValueError(f"search grid {name} must be positive with count >= 1")
+            try:
+                count = operator.index(count)  # ints and numpy integers
+            except TypeError:
+                count = 0  # 2.5, "3": refused below
+            if not (0.0 < lo <= hi < math.inf) or count < 1:
+                raise ValueError(f"search grid {name} must be finite and positive, with "
+                                 f"an integer count >= 1, got {getattr(self, name)!r}")
         if not 0.0 < self.eps_ceiling < 1.0:
             raise ValueError("eps ceiling must lie in (0, 1)")
 
@@ -121,49 +130,33 @@ def _refined(grid: tuple[float, float, int], best: float) -> tuple[float, float,
     return (max(lo, best - step), min(hi, best + step), count)
 
 
-def _better(j, eps, grad, best) -> bool:
-    if best is None:
-        return True
-    bj, beps, bgrad = best
-    if j != bj:
-        return j > bj
-    if eps != beps:
-        return eps < beps
-    return grad < bgrad
+def _candidate(d: float, w1: float, w2: float, gradient: float) -> CandidateParams:
+    """The point (W1, W2, gradient) of the chain of spacing ``d``; d = 0 is
+    the linear trap, whose W1 = W2 is its one frequency."""
+    if d == 0.0:
+        return CandidateParams("linear", gradient, w=w1)
+    return CandidateParams("multi", gradient, d=d, w1=w1, w2=w2)
 
 
-def _result_from(params: CandidateParams | None, evaluations: int, trace: tuple,
-                 constants: PhysicalConstants) -> SearchResult:
-    if params is None:
-        return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan,
-                            evaluations, False, trace)
-    winner = evaluate_candidate(params, constants)
-    c, eq = winner.couplings, winner.equilibrium
-    return SearchResult(params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
-                        evaluations, True, trace)
-
-
-def _sweep_stage(d: float, w1s: np.ndarray, w2s: np.ndarray,
-                 grid: tuple[float, float, int], params, space: SearchSpace,
-                 constants: PhysicalConstants, best, trace: list | None):
-    """Evaluate one stage: the chain of spacing ``d`` (0 in a linear trap) for
-    every outer frequency of ``w1s`` and center frequency of ``w2s``, at every
-    gradient of ``grid``, as (W1, W2, gradient) arrays.
+def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
+                 trace: list | None):
+    """Evaluate one stage: the chain of spacing ``d`` (0 in a linear trap) at
+    every (W1, W2, gradient) of ``space``'s grids, as arrays.
 
     Every value comes from the helpers `solve_equilibrium`, `normal_modes`
     and `compute_couplings` use, elementwise, so it is bit-identical to
-    `evaluate_candidate` at that point. ``params(i, j, gradient)`` names
-    point (i, j) of the stage. ``best`` is None or ((J, eps_max, gradient),
-    params); the updated best is returned. ``trace`` entries are (params, J,
-    eps_max, feasible), in (W1, W2, gradient) order; an unstable chain
-    yields one rejection entry (params(i, j, grid lo), nan, nan, False) per
-    grid point.
+    `evaluate_candidate` at that point. Returns None when no point is
+    feasible, else the stage's best feasible point as ((-J, eps_max,
+    gradient), W1, W2): the least key, then the first in (W1, W2, gradient)
+    order. ``trace`` entries are (params, J, eps_max, feasible), in the same
+    order; an unstable chain yields one rejection entry
+    (params at the grid's lowest gradient, nan, nan, False) per gradient.
     """
-    grads = _grid(grid)
+    w1s, w2s, grads = _grid(space.w1), _grid(space.w2), _grid(space.gradient)
     delta, _steps = _outer_displacement(w1s, d, constants)
     evals, D, kinv12, _kinv13 = _chain_modes(w1s[:, np.newaxis], w2s,
                                              (d + delta)[:, np.newaxis], constants)
-    stable = ~np.any(evals <= 0.0, axis=-1)  # normal_modes' stability check
+    stable = np.all(evals > 0.0, axis=-1)  # normal_modes' stability check
     evals = np.where(stable[..., np.newaxis], evals, np.nan)
     dwdz = frequency_gradient(grads, constants)
     J = _ising(kinv12[..., np.newaxis], dwdz, constants)
@@ -173,25 +166,53 @@ def _sweep_stage(d: float, w1s: np.ndarray, w2s: np.ndarray,
     eps_max = np.max(column_max * _lamb_dicke_scale(nu, dwdz, constants), axis=0)
     feasible = eps_max < space.eps_ceiling
     if trace is not None:
-        lo, grad_list = float(grid[0]), grads.tolist()
+        w1_list, w2_list, grad_list = w1s.tolist(), w2s.tolist(), grads.tolist()
         for i, j in np.ndindex(stable.shape):
             if not stable[i, j]:
-                trace.extend([(params(i, j, lo), np.nan, np.nan, False)] * len(grads))
+                rejected = _candidate(d, w1_list[i], w2_list[j], grad_list[0])
+                trace.extend([(rejected, np.nan, np.nan, False)] * len(grad_list))
                 continue
-            trace.extend(zip((params(i, j, grad) for grad in grad_list), J[i, j].tolist(),
-                             eps_max[i, j].tolist(), feasible[i, j].tolist()))
+            trace.extend(zip((_candidate(d, w1_list[i], w2_list[j], grad)
+                              for grad in grad_list),
+                             J[i, j].tolist(), eps_max[i, j].tolist(),
+                             feasible[i, j].tolist()))
     if not np.any(feasible):
-        return best
-    # the stage's best feasible point in _better's order: J descending,
-    # eps_max ascending, gradient ascending, then first in iteration order
+        return None
     pick = feasible & (J == J[feasible].max())
     pick &= eps_max == eps_max[pick].min()
     pick &= grads == grads[np.nonzero(pick)[-1]].min()
     i, j, k = np.unravel_index(np.argmax(pick), pick.shape)
-    key = (float(J[i, j, k]), float(eps_max[i, j, k]), float(grads[k]))
-    if _better(*key, best and best[0]):
-        best = (key, params(int(i), int(j), key[2]))
-    return best
+    key = (-float(J[i, j, k]), float(eps_max[i, j, k]), float(grads[k]))
+    return key, float(w1s[i]), float(w2s[j])
+
+
+def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
+            collect_trace: bool) -> SearchResult:
+    """The two-stage search of the chain of spacing ``d`` (0 in a linear
+    trap): the whole space, then each grid refined around the first stage's
+    best. The best of both stages wins; a tie keeps the first stage's."""
+    for corner in (0, 1):  # TrapLayout's bounds hold on the grids if at their ends
+        _layout(_candidate(d, space.w1[corner], space.w2[corner], 0.0), constants)
+    trace: list | None = [] if collect_trace else None
+    evaluations, bests, stage_space = 0, [], space
+    for _stage in range(2):
+        best = _sweep_stage(d, stage_space, constants, trace)
+        evaluations += stage_space.w1[2] * stage_space.w2[2] * stage_space.gradient[2]
+        if best is None:
+            break
+        bests.append(best)
+        (_j, _eps, gradient), w1, w2 = best
+        stage_space = replace(space, w1=_refined(space.w1, w1), w2=_refined(space.w2, w2),
+                              gradient=_refined(space.gradient, gradient))
+    trace = tuple(trace or ())
+    if not bests:
+        return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan, evaluations, False, trace)
+    (_j, _eps, gradient), w1, w2 = min(bests, key=lambda best: best[0])
+    params = _candidate(d, w1, w2, gradient)
+    chain = solve_chain(_layout(params, constants), FieldConfig(gradient))
+    c, eq = chain.couplings, chain.equilibrium
+    return SearchResult(params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
+                        evaluations, True, trace)
 
 
 def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
@@ -203,30 +224,9 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
     smaller gradient. Iteration order is fixed, so identical spaces yield
     identical results.
     """
-    if d <= 0.0:
-        raise ValueError("trap spacing d must be positive")
-    space = space or SearchSpace()
-    evaluations = 0
-    trace: list | None = [] if collect_trace else None
-    best = None  # ((J, eps, gradient), params)
-
-    stage_space = space
-    for _stage in range(2):
-        w1s, w2s = _grid(stage_space.w1), _grid(stage_space.w2)
-        best = _sweep_stage(
-            d, w1s, w2s, stage_space.gradient,
-            lambda i, j, grad: CandidateParams("multi", grad, d=d, w1=float(w1s[i]),
-                                               w2=float(w2s[j])),
-            space, constants, best, trace)
-        evaluations += stage_space.w1[2] * stage_space.w2[2] * stage_space.gradient[2]
-        if best is None:
-            break
-        p = best[1]
-        stage_space = replace(space,
-                              w1=_refined(space.w1, p.w1),
-                              w2=_refined(space.w2, p.w2),
-                              gradient=_refined(space.gradient, p.gradient))
-    return _result_from(best and best[1], evaluations, tuple(trace or ()), constants)
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"trap spacing d must be finite and positive, got {d!r}")
+    return _search(d, space or SearchSpace(), constants, collect_trace)
 
 
 def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
@@ -234,25 +234,10 @@ def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
                       collect_trace: bool = False) -> SearchResult:
     """Largest J in a linear trap whose spacing equals h_target.
 
-    The trap frequency follows from the spacing in closed form; only the
-    gradient is searched (two stages), under the eps ceiling.
+    The trap frequency follows from the spacing in closed form, so this is
+    the search at d = 0 with that one frequency on both frequency axes:
+    only the gradient is searched (two stages), under the eps ceiling.
     """
-    if h_target <= 0.0:
-        raise ValueError("target spacing must be positive")
-    space = space or SearchSpace()
     w = linear_frequency_for_spacing(h_target, constants)
-    evaluations = 0
-    trace: list | None = [] if collect_trace else None
-    best = None
-
-    freqs = np.array([w])
-    grid = space.gradient
-    for _stage in range(2):
-        best = _sweep_stage(0.0, freqs, freqs, grid,
-                            lambda _i, _j, grad: CandidateParams("linear", grad, w=w),
-                            space, constants, best, trace)
-        evaluations += grid[2]
-        if best is None:
-            break
-        grid = _refined(space.gradient, best[1].gradient)
-    return _result_from(best and best[1], evaluations, tuple(trace or ()), constants)
+    space = replace(space or SearchSpace(), w1=(w, w, 1), w2=(w, w, 1))
+    return _search(0.0, space, constants, collect_trace)

@@ -180,19 +180,6 @@ def prepare_initial(alpha: complex, beta: complex) -> SpinState:
                              [0.0, 1.0])
 
 
-def measure_ions12(state: SpinState, rng: np.random.Generator,
-                   force: tuple[int, int] | None = None,
-                   ) -> tuple[tuple[int, int], SpinState, float]:
-    """Projective measurement of ions 1, 2 in the computational basis.
-
-    Samples one of the four outcomes from the state (or takes ``force``),
-    collapses, renormalizes, and returns (bits, collapsed state, probability).
-    """
-    register = _Register(state.amplitudes)
-    bits, p = register.measure(rng, force)
-    return bits, SpinState(register.state, state.frame), p
-
-
 def fidelity(output, alpha: complex, beta: complex) -> float:
     """|<target|psi>|^2 for a 2-vector, <target|rho|target> for a 2x2 matrix."""
     target = np.array([alpha, beta], dtype=complex)

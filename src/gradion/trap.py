@@ -48,6 +48,20 @@ def _close(x: float, ref: float) -> bool:
     return abs(x - ref) <= 1e-12 * abs(ref)
 
 
+#: Stiffnesses (N/m) a layout may have: each trap's m W^2 and, in a
+#: micro-trap array, the Coulomb scale k / d^3. Inside this range every
+#: closed form below stays finite, squares of the Hessian entries included;
+#: real traps sit near 1e-11 N/m.
+STIFFNESS_RANGE = (1e-100, 1e100)
+
+
+def _stiff(force: float, per_length: float) -> bool:
+    """Whether force / per_length lies in STIFFNESS_RANGE, tested without
+    dividing, so no value over- or underflows into a false answer; NaN fails."""
+    lo, hi = STIFFNESS_RANGE
+    return lo * per_length <= force <= hi * per_length
+
+
 @dataclass(frozen=True)
 class TrapLayout:
     """Geometry and trap frequencies of the three-ion chain.
@@ -84,12 +98,19 @@ class TrapLayout:
             raise ValueError("trap centers and frequencies must be finite")
         if any(x <= 0.0 for x in w):
             raise ValueError("trap frequencies must be strictly positive")
+        mass, k = self.constants.mass, self.constants.coulomb
+        if not all(_stiff(mass * x * x, 1.0) for x in w):
+            raise ValueError(f"trap frequencies {w} rad/s give a stiffness m W^2 outside "
+                             f"{STIFFNESS_RANGE} N/m")
         if not _close(w[0], w[2]):
             raise ValueError("outer trap frequencies W1 and W3 must be equal")
         if self.mode == "multi":
             d = self.d
             if d is None or not 0.0 < d < math.inf:
                 raise ValueError("multi-trap layout requires a finite, positive trap spacing d")
+            if not _stiff(k, d * d * d):
+                raise ValueError(f"trap spacing d = {d!r} m gives a Coulomb stiffness "
+                                 f"k / d^3 outside {STIFFNESS_RANGE} N/m")
             steps = (zc[1] - zc[0], zc[2] - zc[1])
             if not all(x > 0.0 and _close(x, d) for x in steps):
                 raise ValueError("multi-trap centers must increase in even steps of d")
@@ -315,14 +336,18 @@ def linear_spacing(w: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -
 
     The outer ions sit at +-(5/4)^(1/3) (e^2/(4 pi eps0 m W^2))^(1/3).
     """
+    if not (w > 0.0 and _stiff(constants.mass * w * w, 1.0)):
+        raise ValueError(f"trap frequency must be finite and positive, with a stiffness "
+                         f"m W^2 inside {STIFFNESS_RANGE} N/m, got {w!r} rad/s")
     return float(np.cbrt(1.25 * constants.coulomb / (constants.mass * w**2)))
 
 
 def linear_frequency_for_spacing(h: float,
                                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Trap frequency at which the three-ion chain spacing equals h."""
-    if h <= 0.0:
-        raise ValueError("spacing must be positive")
+    if not (h > 0.0 and _stiff(1.25 * constants.coulomb, h * h * h)):
+        raise ValueError(f"spacing must be finite and positive, with a stiffness "
+                         f"m W^2 = 5 k / (4 h^3) inside {STIFFNESS_RANGE} N/m, got {h!r} m")
     return float(np.sqrt(1.25 * constants.coulomb / (constants.mass * h**3)))
 
 
@@ -334,7 +359,7 @@ def normal_modes(layout: TrapLayout, eq: EquilibriumSolution) -> NormalModes:
     """
     w = layout.frequencies
     evals, vecs, kinv12, kinv13 = _chain_modes(w[0], w[1], eq.h, layout.constants)
-    if np.any(evals <= 0.0):
+    if not np.all(evals > 0.0):  # NaN fails too
         raise UnstableModesError(
             f"non-positive Hessian eigenvalue {evals.min():.3e}; configuration unstable")
     order = np.argsort(evals, kind="stable")

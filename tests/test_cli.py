@@ -313,6 +313,26 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and "Rabi frequency" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["table1", "--d", "nan"], ["table1", "--d", "inf"],
+                                      ["table3", "--h", "nan"], ["table3", "--h", "inf"],
+                                      ["table3", "--h", "-4"]])
+    def test_non_finite_search_spacing_is_1(self, capsys, argv):
+        # used to print "no feasible point found", or RuntimeWarnings for inf
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "spacing" in err
+
+    @pytest.mark.parametrize("argv", [["couplings"], ["teleport", "--mode", "scheduled"]])
+    @pytest.mark.parametrize("w1", ["1e-206", "1e200"])
+    def test_extreme_trap_frequency_is_1(self, capsys, tmp_path, argv, w1):
+        # used to end in an IndexError from NaN mode vectors
+        config = tmp_path / "extreme.cfg"
+        config.write_text(f"mode = multi\nd_um = 4\nw1_2pi_mhz = {w1}\n"
+                          "w2_2pi_mhz = 1.2\ngradient_t_per_m = 500\n")
+        code, out, err = run_cli(capsys, [*argv, "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "stiffness" in err
+
     def test_nan_amplitude_is_1(self, capsys):
         code, out, err = run_cli(capsys, ["teleport", "--alpha", "nan", "--beta", "1"])
         assert (code, out) == (1, "")

@@ -113,6 +113,37 @@ class TestMultitrapSearch:
         with pytest.raises(ValueError):
             g.SearchSpace(w1=(-1.0, 1.0, 2))
 
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf, 0.0, -4e-6, 1e-200, 1e200])
+    def test_refuses_bad_spacing(self, d):
+        # 1e-200 and 1e200 m are finite, but k / d^3 leaves TrapLayout's range
+        with pytest.raises(ValueError, match="spacing"):
+            g.maximize_J_multitrap(d, self.small_space())
+
+    @pytest.mark.parametrize("axis", ["w1", "w2"])
+    @pytest.mark.parametrize("scale", [1e-60, 1e60])
+    def test_refuses_grid_beyond_stiffness_range(self, axis, scale):
+        lo, hi, count = getattr(self.small_space(), axis)
+        grid = (lo * scale, hi, count) if scale < 1.0 else (lo, hi * scale, count)
+        space = replace(self.small_space(), **{axis: grid})
+        with pytest.raises(ValueError, match="stiffness"):
+            g.maximize_J_multitrap(4e-6, space)
+
+
+class TestSearchSpaceValidation:
+    @pytest.mark.parametrize("axis", ["w1", "w2", "gradient"])
+    @pytest.mark.parametrize("grid", [(1.0, np.inf, 3), (np.nan, 2.0, 3), (1.0, np.nan, 3),
+                                      (2.0, 1.0, 3), (0.0, 1.0, 3), (1.0, 2.0, 0),
+                                      (1.0, 2.0, 2.5), (1.0, 2.0, "3"), (1.0, 2.0, None)])
+    def test_refuses_bad_grid(self, axis, grid):
+        with pytest.raises(ValueError, match=f"search grid {axis} must be finite"):
+            g.SearchSpace(**{axis: grid})
+
+    def test_accepts_numpy_integer_counts(self):
+        space = g.SearchSpace(gradient=(50.0, 150.0, np.int64(3)))
+        plain = g.SearchSpace(gradient=(50.0, 150.0, 3))
+        assert_same_search(g.maximize_J_linear(4e-6, space),
+                           g.maximize_J_linear(4e-6, plain))
+
 
 class TestLinearSearch:
     def test_frequency_from_spacing(self):
@@ -147,6 +178,12 @@ class TestLinearSearch:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             g.maximize_J_linear(0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, -4e-6, 1e-200, 1e200])
+    def test_refuses_non_finite_or_extreme_spacing(self, h):
+        # nan used to search and report "no feasible point"; inf to warn
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            g.maximize_J_linear(h)
 
 
 def bits(x):
@@ -256,6 +293,20 @@ class TestRowArraySearchMatchesOracle:
         rejected = [p for p, J, _eps, _feas in result.trace if np.isnan(J)]
         assert rejected and all(p.w2 < g.TWO_PI * 1.2e6 for p in rejected)
         assert result.params.w2 >= g.TWO_PI * 1.2e6
+
+    def test_stiffness_range_edges(self):
+        # grids spanning all of TrapLayout's stiffness range: finite arrays,
+        # no floating-point warning, the same points as the per-point search
+        c = g.DEFAULT_CONSTANTS
+        lo, hi = trap.STIFFNESS_RANGE
+        w = (np.sqrt(lo / c.mass) * (1 + 1e-9), np.sqrt(hi / c.mass) * (1 - 1e-9), 3)
+        space = g.SearchSpace(w1=w, w2=w, gradient=(1.0, 1e4, 4), eps_ceiling=0.5)
+        for d in ((c.coulomb / hi) ** (1 / 3) * (1 + 1e-9),
+                  (c.coulomb / lo) ** (1 / 3) * (1 - 1e-9)):
+            result = g.maximize_J_multitrap(d, space, collect_trace=True)
+            assert result.feasible
+            assert_same_search(result, sweep_search_oracle("multi", d, space,
+                                                           collect_trace=True))
 
     def test_all_unstable_is_infeasible(self, monkeypatch):
         chain_modes = trap._chain_modes

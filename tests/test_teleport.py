@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import gradion as g
 from gradion.operators import embed, reduced_density
 from gradion.pulses import spin_energies
-from gradion.teleport import CORRECTIONS, correction_schedule, protocol_schedules
+from gradion.teleport import (CORRECTIONS, _Register, correction_schedule,
+                              protocol_schedules)
 
 import util
 from util import (dense_evolve_oracle, embed3, haar_qubit, run_stage_oracle,
@@ -118,17 +119,19 @@ class TestMeasurement:
         a, b = haar_qubit(rng)
         state = ideal_stages(g.prepare_initial(a, b))
         for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            bits, collapsed, p = g.measure_ions12(state, rng, force=forced)
+            register = _Register(state.amplitudes)
+            bits, p = register.measure(rng, force=forced)
             assert bits == forced
             assert p == pytest.approx(0.25, abs=1e-12)
-            assert np.linalg.norm(collapsed.amplitudes) == pytest.approx(1.0)
+            assert np.linalg.norm(register.state) == pytest.approx(1.0)
 
     def test_product_state_outcome_certain(self, rng):
         state = g.SpinState.product([1, 0], [1, 0], [0.8, 0.6j])
-        bits, collapsed, p = g.measure_ions12(state, rng)
+        register = _Register(state.amplitudes)
+        bits, p = register.measure(rng)
         assert bits == (0, 0)
         assert p == pytest.approx(1.0)
-        assert np.allclose(collapsed.amplitudes, state.amplitudes)
+        assert np.allclose(register.state, state.amplitudes)
 
     def test_sampling_statistics(self):
         rng = np.random.default_rng(7)
@@ -136,14 +139,14 @@ class TestMeasurement:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            bits, _, _ = g.measure_ions12(state, rng)
+            bits, _ = _Register(state.amplitudes).measure(rng)
             counts[2 * bits[0] + bits[1]] += 1
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) < 4 * sigma)
 
     def test_seeded_determinism(self):
         state = ideal_stages(g.prepare_initial(0.6, 0.8))
-        runs = [g.measure_ions12(state, np.random.default_rng(123))[0]
+        runs = [_Register(state.amplitudes).measure(np.random.default_rng(123))[0]
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
@@ -153,8 +156,9 @@ class TestCorrections:
         a, b = haar_qubit(rng)
         state = ideal_stages(g.prepare_initial(a, b))
         for forced in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            bits, collapsed, _ = g.measure_ions12(state, rng, force=forced)
-            corrected = embed(CORRECTIONS[bits][1], 3) @ collapsed.amplitudes
+            register = _Register(state.amplitudes)
+            bits, _ = register.measure(rng, force=forced)
+            corrected = embed(CORRECTIONS[bits][1], 3) @ register.state
             out = corrected.reshape(2, 2, 2)[bits]
             assert g.fidelity(out, a, b) == pytest.approx(1.0, abs=1e-12)
 
@@ -176,7 +180,7 @@ class TestCorrections:
             with pytest.raises(ValueError, match="forced outcome"):
                 g.run_teleport(g.ProtocolConfig(1.0, 0.0, seed=0), force_outcome=bits)
             with pytest.raises(ValueError, match="forced outcome"):
-                g.measure_ions12(state, rng, force=bits)
+                _Register(state.amplitudes).measure(rng, force=bits)
 
 
 class TestFidelity:

@@ -378,3 +378,46 @@ class TestLayoutValidation:
     def test_frequency_for_spacing_inverts_spacing(self):
         w = g.linear_frequency_for_spacing(4e-6)
         assert g.linear_spacing(w) == pytest.approx(4e-6, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -4e-6, 1e-200, 1e200])
+    def test_frequency_for_spacing_refuses_bad_spacing(self, h):
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            g.linear_frequency_for_spacing(h)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf, 0.0, -g.TWO_PI * 1e6,
+                                   g.TWO_PI * 1e-200, g.TWO_PI * 1e200])
+    def test_spacing_refuses_bad_frequency(self, w):
+        # -2pi MHz used to give the spacing of +2pi MHz
+        with pytest.raises(ValueError, match="trap frequency must be finite and positive"):
+            g.linear_spacing(w)
+
+    @pytest.mark.parametrize("w1_mhz", [1e-206, 1e-150, 1e200])
+    def test_extreme_frequency_refused_before_nan(self, w1_mhz):
+        # m W1^2 or 5 k / (4 m W1^2) leaves the float range, which gave NaN
+        # eigenvalues and an IndexError in normal_modes' sign fix
+        with pytest.raises(ValueError, match="stiffness"):
+            g.TrapLayout.multi_trap(4e-6, g.TWO_PI * w1_mhz * 1e6, g.TWO_PI * 1.2e6)
+        with pytest.raises(ValueError, match="stiffness"):
+            g.TrapLayout.linear(g.TWO_PI * w1_mhz * 1e6)
+
+    @pytest.mark.parametrize("d", [1e-200, 1e-50, 1e30, 1e200])
+    def test_extreme_spacing_refused(self, d):
+        with pytest.raises(ValueError, match="stiffness"):
+            g.TrapLayout.multi_trap(d, g.TWO_PI * 1e6, g.TWO_PI * 1e6)
+
+    def test_stiffness_range_edges_solve_finite(self):
+        # every closed form stays finite, with no floating-point warning, at
+        # the edges of the accepted range
+        c = g.DEFAULT_CONSTANTS
+        lo, hi = trap.STIFFNESS_RANGE
+        ws = (np.sqrt(lo / c.mass) * (1 + 1e-9), np.sqrt(hi / c.mass) * (1 - 1e-9))
+        ds = ((c.coulomb / hi) ** (1 / 3) * (1 + 1e-9),
+              (c.coulomb / lo) ** (1 / 3) * (1 - 1e-9))
+        chains = [g.TrapLayout.linear(w) for w in ws]
+        chains += [g.TrapLayout.multi_trap(d, w1, w2) for d in ds for w1 in ws for w2 in ws]
+        for layout in chains:
+            chain = g.solve_chain(layout, g.FieldConfig(1e4))
+            cs = chain.couplings
+            values = [chain.equilibrium.h, *chain.modes.nu, *chain.modes.D.ravel(),
+                      cs.J, cs.J13, cs.eps_max, *cs.w]
+            assert np.all(np.isfinite(values)) and chain.equilibrium.h > 0.0
