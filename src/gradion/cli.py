@@ -223,10 +223,10 @@ def _couplings_payload(settings: dict, chain: Chain) -> dict:
     }
     if layout.mode == "multi":
         payload["d_um"] = layout.d * 1e6
-        payload["w1_2pi_mhz"] = layout.frequencies[0] / (TWO_PI * 1e6)
-        payload["w2_2pi_mhz"] = layout.frequencies[1] / (TWO_PI * 1e6)
+        payload["w1_2pi_mhz"] = layout.w1 / (TWO_PI * 1e6)
+        payload["w2_2pi_mhz"] = layout.w2 / (TWO_PI * 1e6)
     else:
-        payload["w_2pi_mhz"] = layout.frequencies[0] / (TWO_PI * 1e6)
+        payload["w_2pi_mhz"] = layout.w1 / (TWO_PI * 1e6)
     return payload
 
 
@@ -334,7 +334,7 @@ def cmd_table3(args) -> int:
         return 1
     payload = {
         "h_um": args.h,
-        "w_2pi_mhz": result.params.w / (TWO_PI * 1e6),
+        "w_2pi_mhz": result.params.w1 / (TWO_PI * 1e6),
         "gradient_t_per_m": result.params.gradient,
         "eps_max": result.eps_max,
         "j_2pi_khz": result.J / (TWO_PI * 1e3),
@@ -348,7 +348,11 @@ def cmd_table3(args) -> int:
 def cmd_cnot(args) -> int:
     settings = _merge_settings(args, default_preset="table1-d4")
     couplings = _chain(settings).couplings
-    control, target = (int(x) for x in args.pair.split(","))
+    try:
+        control, target = (int(x) for x in args.pair.split(","))
+    except ValueError:  # a wrong count or a non-integer
+        raise ValueError(f"--pair takes control,target: two ion numbers such as 2,3, "
+                         f"got {args.pair!r}") from None
     frame = LAB if args.frame == "lab" else INTERACTION
     ctx = PulseContext(couplings, frame, commensurate=(frame == LAB),
                        **_pulse_timing(settings))

@@ -41,6 +41,13 @@ from .trap import (EquilibriumSolution, NormalModes, TrapLayout, normal_modes,
 EXCITATION_ORDER = (0, 4, 2, 1, 6, 5, 3, 7)
 
 
+#: Values `FieldConfig` accepts, ends included: the gradient (T/m), the
+#: offset b0 (T) and eta. With them, every layout inside
+#: `trap.STIFFNESS_RANGE` keeps w, J, J13, eps and eta' = sqrt(eta^2 + eps^2)
+#: finite, with eps^2 included; real fields sit near 1e3 T/m, 1 T and 1e-6.
+FIELD_RANGE = {"gradient": (0.0, 1e50), "b0": (-1e100, 1e100), "eta": (0.0, 1e100)}
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Static magnetic field: uniform offset b0 (T) and gradient (T/m).
@@ -56,13 +63,12 @@ class FieldConfig:
     eta: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gradient) and math.isfinite(self.b0)
-                and math.isfinite(self.eta)):
-            raise ValueError("field gradient, b0 and eta must be finite")
-        if self.gradient < 0.0:
-            raise ValueError("field gradient must be non-negative")
-        if self.eta < 0.0:
-            raise ValueError("eta must be non-negative")
+        for name, (lo, hi) in FIELD_RANGE.items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:  # NaN fails too
+                least = "non-negative" if lo == 0.0 else f"at least {lo:g}"
+                raise ValueError(f"field {name} must be finite, {least} and at most {hi:g}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,8 @@ def qubit_frequencies(field: FieldConfig, eq: EquilibriumSolution,
 def neighbor_resonance_shift(field: FieldConfig, h: float,
                              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Qubit frequency difference g mu_B B' h / hbar between neighboring ions."""
-    if h <= 0.0:
-        raise ValueError("inter-ion distance must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"inter-ion distance must be finite and positive, got {h!r}")
     return constants.g_factor * constants.mu_b * field.gradient * h / constants.hbar
 
 
@@ -231,6 +237,6 @@ def heating_time_scaled(reference_time: float, reference_size: float,
     Heating rates grow as R^-4 when a trap is shrunk, so the heating time
     scales as (size / reference_size)^4.
     """
-    if reference_time <= 0.0 or reference_size <= 0.0 or size <= 0.0:
-        raise ValueError("times and sizes must be positive")
+    if not all(0.0 < x < math.inf for x in (reference_time, reference_size, size)):
+        raise ValueError("times and sizes must be finite and positive")
     return reference_time * (size / reference_size) ** 4

@@ -193,8 +193,8 @@ def spin_energies(couplings: CouplingSet, frame: str) -> np.ndarray:
 
 def free_evolution(couplings: CouplingSet, t: float, frame: str = INTERACTION) -> np.ndarray:
     """Diagonal unitary exp(-i H0 t) of the spin Hamiltonian."""
-    if t < 0.0:
-        raise ValueError("evolution time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"evolution time must be finite and non-negative, got {t!r}")
     return np.diag(np.exp(-1j * spin_energies(couplings, frame) * t))
 
 

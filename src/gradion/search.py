@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
-from .couplings import (CouplingSet, FieldConfig, _ising, _lamb_dicke_scale,
+from .couplings import (FIELD_RANGE, CouplingSet, FieldConfig, _ising, _lamb_dicke_scale,
                         frequency_gradient, solve_chain)
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
                    _chain_modes, _outer_displacement, linear_frequency_for_spacing)
@@ -56,20 +56,23 @@ class SearchSpace:
             if not (0.0 < lo <= hi < math.inf) or count < 1:
                 raise ValueError(f"search grid {name} must be finite and positive, with "
                                  f"an integer count >= 1, got {getattr(self, name)!r}")
+        top = FIELD_RANGE["gradient"][1]
+        if self.gradient[1] > top:
+            raise ValueError(f"search grid gradient must stay within FieldConfig's range, "
+                             f"at most {top:g} T/m, got {self.gradient!r}")
         if not 0.0 < self.eps_ceiling < 1.0:
             raise ValueError("eps ceiling must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class CandidateParams:
-    """One parameter point: micro-trap (d, w1, w2) or linear (w), plus gradient."""
+    """One parameter point: the `TrapLayout` (d, w1, w2), d = 0 for the linear
+    trap, and the field gradient (T/m)."""
 
-    mode: str
+    d: float
+    w1: float
+    w2: float
     gradient: float
-    d: float | None = None
-    w1: float | None = None
-    w2: float | None = None
-    w: float | None = None
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,6 @@ class SearchResult:
     trace: tuple = ()
 
 
-def _layout(params: CandidateParams, constants: PhysicalConstants) -> TrapLayout:
-    if params.mode == "multi":
-        return TrapLayout.multi_trap(params.d, params.w1, params.w2, constants)
-    return TrapLayout.linear(params.w, constants)
-
-
 def evaluate_candidate(params: CandidateParams,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
                        ) -> CandidateEvaluation:
@@ -112,7 +109,8 @@ def evaluate_candidate(params: CandidateParams,
     Unstable mode spectra mark the point infeasible instead of raising.
     """
     try:
-        chain = solve_chain(_layout(params, constants), FieldConfig(params.gradient))
+        chain = solve_chain(TrapLayout(params.d, params.w1, params.w2, constants),
+                            FieldConfig(params.gradient))
     except UnstableModesError as exc:
         return CandidateEvaluation(params, False, reason=str(exc))
     return CandidateEvaluation(params, True, equilibrium=chain.equilibrium,
@@ -128,14 +126,6 @@ def _refined(grid: tuple[float, float, int], best: float) -> tuple[float, float,
     lo, hi, count = grid
     step = (hi - lo) / max(count - 1, 1)
     return (max(lo, best - step), min(hi, best + step), count)
-
-
-def _candidate(d: float, w1: float, w2: float, gradient: float) -> CandidateParams:
-    """The point (W1, W2, gradient) of the chain of spacing ``d``; d = 0 is
-    the linear trap, whose W1 = W2 is its one frequency."""
-    if d == 0.0:
-        return CandidateParams("linear", gradient, w=w1)
-    return CandidateParams("multi", gradient, d=d, w1=w1, w2=w2)
 
 
 def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
@@ -169,10 +159,10 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
         w1_list, w2_list, grad_list = w1s.tolist(), w2s.tolist(), grads.tolist()
         for i, j in np.ndindex(stable.shape):
             if not stable[i, j]:
-                rejected = _candidate(d, w1_list[i], w2_list[j], grad_list[0])
+                rejected = CandidateParams(d, w1_list[i], w2_list[j], grad_list[0])
                 trace.extend([(rejected, np.nan, np.nan, False)] * len(grad_list))
                 continue
-            trace.extend(zip((_candidate(d, w1_list[i], w2_list[j], grad)
+            trace.extend(zip((CandidateParams(d, w1_list[i], w2_list[j], grad)
                               for grad in grad_list),
                              J[i, j].tolist(), eps_max[i, j].tolist(),
                              feasible[i, j].tolist()))
@@ -192,7 +182,7 @@ def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
     trap): the whole space, then each grid refined around the first stage's
     best. The best of both stages wins; a tie keeps the first stage's."""
     for corner in (0, 1):  # TrapLayout's bounds hold on the grids if at their ends
-        _layout(_candidate(d, space.w1[corner], space.w2[corner], 0.0), constants)
+        TrapLayout(d, space.w1[corner], space.w2[corner], constants)
     trace: list | None = [] if collect_trace else None
     evaluations, bests, stage_space = 0, [], space
     for _stage in range(2):
@@ -208,11 +198,10 @@ def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
     if not bests:
         return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan, evaluations, False, trace)
     (_j, _eps, gradient), w1, w2 = min(bests, key=lambda best: best[0])
-    params = _candidate(d, w1, w2, gradient)
-    chain = solve_chain(_layout(params, constants), FieldConfig(gradient))
+    chain = solve_chain(TrapLayout(d, w1, w2, constants), FieldConfig(gradient))
     c, eq = chain.couplings, chain.equilibrium
-    return SearchResult(params, c.J, c.J13, c.eps_max, eq.delta, eq.h,
-                        evaluations, True, trace)
+    return SearchResult(CandidateParams(d, w1, w2, gradient), c.J, c.J13, c.eps_max,
+                        eq.delta, eq.h, evaluations, True, trace)
 
 
 def maximize_J_multitrap(d: float, space: SearchSpace | None = None,

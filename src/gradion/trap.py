@@ -5,15 +5,15 @@ other through the Coulomb interaction:
 
     V(z) = sum_i  m W_i^2 (z_i - zc_i)^2 / 2  +  sum_{i<j} e^2 / (4 pi eps0 |z_i - z_j|)
 
-Two layouts are supported: a micro-trap array (three wells spaced by d,
-outer wells sharing one frequency) and a single linear trap (all three
-wells coincide). The magnetic gradient exerts no net force here; the
-equilibrium is set by the trap and Coulomb terms alone. Both layouts are
-mirror-symmetric, so the equilibrium is the root of one scalar cubic and
-the Hessian splits into one antisymmetric mode and a 2x2 symmetric block:
-the normal modes and the two entries of its inverse the couplings need are
-closed forms, computed elementwise over arrays of layouts by
-`_chain_modes`, with no eigensolver.
+One record, `TrapLayout` (d, W1, W2), holds both layouts: a micro-trap
+array (wells at -d, 0, +d, the outer two of frequency W1 and the center one
+of W2) and a single linear trap as its d = 0 case (W1 = W2). The magnetic
+gradient exerts no net force here; the equilibrium is set by the trap and
+Coulomb terms alone. The chain is mirror-symmetric by construction, so the
+equilibrium is the root of one scalar cubic and the Hessian splits into one
+antisymmetric mode and a 2x2 symmetric block: the normal modes and the two
+entries of its inverse the couplings need are closed forms, computed
+elementwise over arrays of layouts by `_chain_modes`, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ class UnstableModesError(RuntimeError):
     """Hessian has a non-positive eigenvalue: configuration is not a stable minimum."""
 
 
-def _close(x: float, ref: float) -> bool:
-    """|x - ref| within 1e-12 of |ref|, with no absolute term."""
-    return abs(x - ref) <= 1e-12 * abs(ref)
-
-
 #: Stiffnesses (N/m) a layout may have: each trap's m W^2 and, in a
 #: micro-trap array, the Coulomb scale k / d^3. Inside this range every
 #: closed form below stays finite, squares of the Hessian entries included;
@@ -64,76 +59,68 @@ def _stiff(force: float, per_length: float) -> bool:
 
 @dataclass(frozen=True)
 class TrapLayout:
-    """Geometry and trap frequencies of the three-ion chain.
+    """The mirror-symmetric three-ion chain: wells at -d, 0 and +d (m), the
+    outer two of angular frequency ``w1`` and the center one of ``w2`` (rad/s).
 
-    mode
-        "multi" for one micro-trap per ion, "linear" for a single shared well.
-    centers
-        Trap centers zc_i in m. Linear mode: all exactly equal. Multi mode:
-        strictly increasing, evenly spaced by ``d``.
-    frequencies
-        Angular trap frequencies W_i in rad/s. The outer traps are required
-        to share one frequency so that the two nearest-neighbor couplings
-        come out equal.
-    d
-        Neighboring trap distance in m (multi mode only).
+    ``d = 0`` is a single linear trap, whose one frequency is ``w1 == w2``.
+    `multi_trap` and `linear` are the constructors; ``mode``, ``centers``
+    and ``frequencies`` are derived from the three fields.
     """
 
-    mode: str
-    centers: np.ndarray
-    frequencies: np.ndarray
-    d: float | None
+    d: float
+    w1: float
+    w2: float
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
-        centers = np.asarray(self.centers, dtype=float)
-        freqs = np.asarray(self.frequencies, dtype=float)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "frequencies", freqs)
-        if centers.shape != (3,) or freqs.shape != (3,):
-            raise ValueError("layout needs exactly three trap centers and frequencies")
-        # scalar checks, relative only: an absolute term would swamp um spacings
-        zc, w = centers.tolist(), freqs.tolist()
-        if not all(math.isfinite(x) for x in zc + w):
-            raise ValueError("trap centers and frequencies must be finite")
-        if any(x <= 0.0 for x in w):
+        d, w1, w2 = self.d, self.w1, self.w2
+        if not all(math.isfinite(x) for x in (d, w1, w2)):
+            raise ValueError(f"trap spacing and frequencies must be finite, got d = {d!r} m, "
+                             f"W1 = {w1!r}, W2 = {w2!r} rad/s")
+        if d < 0.0:
+            raise ValueError(f"trap spacing d must be non-negative, got {d!r} m")
+        if not (w1 > 0.0 and w2 > 0.0):
             raise ValueError("trap frequencies must be strictly positive")
-        mass, k = self.constants.mass, self.constants.coulomb
-        if not all(_stiff(mass * x * x, 1.0) for x in w):
-            raise ValueError(f"trap frequencies {w} rad/s give a stiffness m W^2 outside "
-                             f"{STIFFNESS_RANGE} N/m")
-        if not _close(w[0], w[2]):
-            raise ValueError("outer trap frequencies W1 and W3 must be equal")
-        if self.mode == "multi":
-            d = self.d
-            if d is None or not 0.0 < d < math.inf:
-                raise ValueError("multi-trap layout requires a finite, positive trap spacing d")
-            if not _stiff(k, d * d * d):
-                raise ValueError(f"trap spacing d = {d!r} m gives a Coulomb stiffness "
-                                 f"k / d^3 outside {STIFFNESS_RANGE} N/m")
-            steps = (zc[1] - zc[0], zc[2] - zc[1])
-            if not all(x > 0.0 and _close(x, d) for x in steps):
-                raise ValueError("multi-trap centers must increase in even steps of d")
-        elif self.mode == "linear":
-            if not zc[0] == zc[1] == zc[2]:
-                raise ValueError("linear layout requires coincident trap centers")
-            if not all(_close(x, w[0]) for x in w):
-                raise ValueError("linear layout requires one common trap frequency")
-        else:
-            raise ValueError(f"unknown layout mode {self.mode!r}")
+        if d == 0.0 and w1 != w2:
+            raise ValueError("a linear trap (d = 0) has one trap frequency: W1 must equal W2")
+        mass = self.constants.mass
+        if not (_stiff(mass * w1 * w1, 1.0) and _stiff(mass * w2 * w2, 1.0)):
+            raise ValueError(f"trap frequencies {[w1, w2]} rad/s give a stiffness m W^2 "
+                             f"outside {STIFFNESS_RANGE} N/m")
+        if d > 0.0 and not _stiff(self.constants.coulomb, d * d * d):
+            raise ValueError(f"trap spacing d = {d!r} m gives a Coulomb stiffness "
+                             f"k / d^3 outside {STIFFNESS_RANGE} N/m")
+
+    @property
+    def mode(self) -> str:
+        """The layout's kind: "multi" for one micro-trap per ion (d > 0),
+        "linear" for one shared well (d = 0)."""
+        return "multi" if self.d > 0.0 else "linear"
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Trap centers (-d, 0, d) in m; a linear trap's are all +0.0."""
+        return np.array([0.0 - self.d, 0.0, self.d])
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Trap frequencies (W1, W2, W1) in rad/s."""
+        return np.array([self.w1, self.w2, self.w1])
 
     @classmethod
     def multi_trap(cls, d: float, w1: float, w2: float,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "TrapLayout":
         """Micro-trap array: wells at -d, 0, +d with outer frequency w1 and center w2."""
-        centers = np.array([-d, 0.0, d])
-        return cls("multi", centers, np.array([w1, w2, w1]), d, constants)
+        if not d > 0.0:
+            raise ValueError(f"multi-trap layout requires a finite, positive trap spacing d, "
+                             f"got {d!r} m")
+        return cls(d, w1, w2, constants)
 
     @classmethod
     def linear(cls, w: float,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "TrapLayout":
         """Single linear trap of angular frequency w holding all three ions."""
-        return cls("linear", np.zeros(3), np.full(3, w), None, constants)
+        return cls(0.0, w, w, constants)
 
 
 @dataclass(frozen=True)
@@ -142,7 +129,7 @@ class EquilibriumSolution:
 
     ``delta`` is the displacement of the outer ions from their own trap
     center (equal on both sides by symmetry) and ``h`` the distance between
-    neighboring ions; in multi-trap mode h = d + delta.
+    neighboring ions, h = d + delta (d = 0 in a linear trap).
     """
 
     positions: np.ndarray  # m, strictly increasing
@@ -319,15 +306,12 @@ def solve_equilibrium(layout: TrapLayout) -> EquilibriumSolution:
     The middle ion stays at its trap center; the outer ions move out by the
     one positive root delta of delta (d + delta)^2 = c, c = 5 k / (4 m W1^2)
     (k the Coulomb constant, d = 0 in a linear trap), so W2 does not enter;
-    `_outer_displacement` finds it by Newton's method. ``TrapLayout`` admits
-    W3 and the multi-trap spacing within 1e-12 relative of W1 and d, which
-    bounds the error of using W1 and d near 1e-12.
+    `_outer_displacement` finds it by Newton's method.
     """
-    const = layout.constants
-    d = layout.d if layout.mode == "multi" else 0.0
-    delta, steps = _outer_displacement(layout.frequencies[0], d, const)
-    z = layout.centers + float(delta) * np.array([-1.0, 0.0, 1.0])
-    residual = float(np.max(np.abs(_gradient(z, layout.centers, layout.frequencies, const))))
+    const, centers = layout.constants, layout.centers
+    delta, steps = _outer_displacement(layout.w1, layout.d, const)
+    z = centers + float(delta) * np.array([-1.0, 0.0, 1.0])
+    residual = float(np.max(np.abs(_gradient(z, centers, layout.frequencies, const))))
     return EquilibriumSolution(z, float(delta), float(z[1] - z[0]), residual, steps)
 
 
@@ -357,8 +341,7 @@ def normal_modes(layout: TrapLayout, eq: EquilibriumSolution) -> NormalModes:
     nu_l = sqrt(lambda_l / m) with lambda_l the Hessian eigenvalues, from
     the closed form of `_chain_modes` at spacing eq.h.
     """
-    w = layout.frequencies
-    evals, vecs, kinv12, kinv13 = _chain_modes(w[0], w[1], eq.h, layout.constants)
+    evals, vecs, kinv12, kinv13 = _chain_modes(layout.w1, layout.w2, eq.h, layout.constants)
     if not np.all(evals > 0.0):  # NaN fails too
         raise UnstableModesError(
             f"non-positive Hessian eigenvalue {evals.min():.3e}; configuration unstable")

@@ -226,10 +226,15 @@ class TestCnotCommand:
         assert payload["max_commensuration_residual_rad"] < 1e-3
 
     def test_bad_pair_fails(self, capsys):
-        code, _, err = run_cli(capsys, ["cnot", "--pair", "1,3",
-                                        "--preset", "table1-d4"])
-        assert code == 1
-        assert "error" in err
+        # a wrong count or a non-integer used to fail with Python's own
+        # unpacking text; every case runs here, so the test keeps its one id
+        malformed = "--pair takes control,target"
+        for pair, message in (("1,3", "adjacent"), ("2", malformed), ("a,b", malformed),
+                              ("2,3,1", malformed), ("2.5,3", malformed), ("", malformed)):
+            code, out, err = run_cli(capsys, ["cnot", "--pair", pair,
+                                              "--preset", "table1-d4"])
+            assert (code, out) == (1, ""), pair
+            assert err.startswith("error:") and message in err, (pair, err)
 
 
 class TestTeleportCommand:
@@ -332,6 +337,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [*argv, "--config", str(config)])
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "stiffness" in err
+
+    @pytest.mark.parametrize("argv", [["couplings"], ["couplings", "--format", "json"],
+                                      ["cnot"], ["teleport", "--mode", "scheduled"]])
+    @pytest.mark.parametrize("line", ["gradient_t_per_m = 1e150", "b0_t = 1e300",
+                                      "b0_t = -1e300", "eta = 1e200"])
+    def test_field_beyond_range_is_1(self, capsys, tmp_path, argv, line):
+        # 1e150 T/m printed j_2pi_khz = inf and b0 = 1e300 inf qubit
+        # frequencies in text mode, both with exit code 0
+        config = tmp_path / "field.cfg"
+        config.write_text(f"preset = table1-d4\n{line}\n")
+        code, out, err = run_cli(capsys, [*argv, "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: field ") and "at most" in err
 
     def test_nan_amplitude_is_1(self, capsys):
         code, out, err = run_cli(capsys, ["teleport", "--alpha", "nan", "--beta", "1"])

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradion as g
+from gradion.couplings import FIELD_RANGE
 from gradion.operators import Z_SIGNS, cnot_matrix
 from util import (SZ2, carrier_spectrum_oracle, cnot_permutation, embed3,
                   exact_inverse_hessian, ising_matrix_oracle, layouts,
                   normal_modes_eigh_oracle, random_couplings, spin_energy_oracle,
-                  spin_hamiltonian_oracle)
+                  spin_hamiltonian_oracle, stiffness_corner_layouts)
 
 
 class TestQubitFrequencies:
@@ -37,6 +39,11 @@ class TestQubitFrequencies:
             == pytest.approx(2 * shift, rel=1e-12)
         with pytest.raises(ValueError):
             g.neighbor_resonance_shift(g.FieldConfig(500.0), -1e-6)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_neighbor_shift_refuses_non_finite_distance(self, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            g.neighbor_resonance_shift(g.FieldConfig(500.0), h)
 
     @pytest.mark.parametrize("name", sorted(g.PRESETS))
     def test_g_factor_scales_couplings_exactly(self, name):
@@ -68,6 +75,28 @@ class TestFieldValidation:
             g.FieldConfig(-1.0)
         with pytest.raises(ValueError, match="non-negative"):
             g.FieldConfig(500.0, eta=-1e-6)
+
+    @pytest.mark.parametrize("name, value", [
+        ("gradient", 1e150), ("gradient", 1e300), ("b0", 1e300), ("b0", -1e300),
+        ("eta", 1e200), *[(name, np.nextafter(hi, np.inf))
+                          for name, (_lo, hi) in FIELD_RANGE.items()]])
+    def test_out_of_range_rejected(self, name, value):
+        # 1e150 T/m gave J = inf; b0 = 1e300 inf qubit frequencies; eta = 1e200
+        # an OverflowError in eta'
+        values = {"gradient": 500.0, "b0": 1.0, "eta": 1e-6, name: value}
+        with pytest.raises(ValueError, match=f"field {name} must be finite, .* at most"):
+            g.FieldConfig(**values)
+
+    def test_range_corners_stay_finite(self):
+        # every layout corner of trap.STIFFNESS_RANGE in every field corner of
+        # FIELD_RANGE: no warning (an error under the test settings), all finite
+        for gradient, b0, eta in itertools.product(*FIELD_RANGE.values()):
+            field = g.FieldConfig(gradient, b0=b0, eta=eta)
+            for layout in stiffness_corner_layouts():
+                c = g.solve_chain(layout, field).couplings
+                values = [*c.w, c.J, c.J13, *c.eps.ravel(), c.eps_max, *c.eta_prime.ravel(),
+                          *g.carrier_spectrum(c).transitions.ravel()]
+                assert np.all(np.isfinite(values)), (layout, field)
 
 
 class TestCouplings:
@@ -337,6 +366,14 @@ class TestHeatingTime:
         assert g.heating_time_scaled(1.0, 1e-6, 2e-6) == pytest.approx(16.0)
         with pytest.raises(ValueError):
             g.heating_time_scaled(1.0, 1e-6, -2e-6)
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, position, bad):
+        args = [4e-3, 100e-6, 4e-6]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            g.heating_time_scaled(*args)
 
 
 class TestSolveChain:

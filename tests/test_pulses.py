@@ -96,6 +96,12 @@ class TestFreeEvolution:
         with pytest.raises(ValueError):
             g.free_evolution(random_couplings(rng), -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, rng, t):
+        # NaN used to pass the sign check and return a NaN matrix
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            g.free_evolution(random_couplings(rng), t)
+
 
 class TestRefocusedZZ:
     def test_identity_both_frames(self, rng):

@@ -12,8 +12,8 @@ from util import sweep_search_oracle
 
 
 def multi_params(d_um, w1_mhz, w2_mhz, grad):
-    return CandidateParams("multi", grad, d=d_um * 1e-6,
-                           w1=g.TWO_PI * w1_mhz * 1e6, w2=g.TWO_PI * w2_mhz * 1e6)
+    return CandidateParams(d_um * 1e-6, g.TWO_PI * w1_mhz * 1e6, g.TWO_PI * w2_mhz * 1e6,
+                           grad)
 
 
 class TestEvaluateCandidate:
@@ -28,7 +28,7 @@ class TestEvaluateCandidate:
 
     def test_table3_h2_row(self):
         ev = g.evaluate_candidate(
-            CandidateParams("linear", 750.0, w=g.TWO_PI * 1.77e6))
+            CandidateParams(0.0, g.TWO_PI * 1.77e6, g.TWO_PI * 1.77e6, 750.0))
         assert ev.feasible
         assert ev.couplings.J / (g.TWO_PI * 1e3) == pytest.approx(1.12, rel=0.03)
         assert ev.couplings.J13 / (g.TWO_PI * 1e3) == pytest.approx(0.794, rel=0.03)
@@ -130,6 +130,12 @@ class TestMultitrapSearch:
 
 
 class TestSearchSpaceValidation:
+    @pytest.mark.parametrize("grid", [(1e150, 1e300, 4), (50.0, 1e51, 3)])
+    def test_refuses_gradient_beyond_field_range(self, grid):
+        # (1e150, 1e300) used to overflow J into inf, with a RuntimeWarning
+        with pytest.raises(ValueError, match="search grid gradient must stay within"):
+            g.SearchSpace(gradient=grid)
+
     @pytest.mark.parametrize("axis", ["w1", "w2", "gradient"])
     @pytest.mark.parametrize("grid", [(1.0, np.inf, 3), (np.nan, 2.0, 3), (1.0, np.nan, 3),
                                       (2.0, 1.0, 3), (0.0, 1.0, 3), (1.0, 2.0, 0),
@@ -149,7 +155,7 @@ class TestLinearSearch:
     def test_frequency_from_spacing(self):
         result = g.maximize_J_linear(4e-6, g.SearchSpace(gradient=(50, 150, 3)))
         assert result.feasible
-        assert result.params.w / (g.TWO_PI * 1e6) == pytest.approx(0.628, rel=0.02)
+        assert result.params.w1 / (g.TWO_PI * 1e6) == pytest.approx(0.628, rel=0.02)
 
     def test_reference_gradient_recovers_row(self):
         # gradient grid topping out at the row's 150 T/m

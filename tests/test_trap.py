@@ -10,13 +10,15 @@ from gradion import trap
 
 import util
 from util import (exact_force_residual, exact_outer_displacement, layouts,
-                  normal_modes_eigh_oracle,
-                  newton_equilibrium_oracle, oracle_positions)
+                  normal_modes_eigh_oracle, newton_equilibrium_oracle, oracle_positions,
+                  stiffness_corner_layouts)
 
 
 def make_multi(d=4e-6, w1=g.TWO_PI * 1.37e6, w2=g.TWO_PI * 1.24e6):
     return g.TrapLayout.multi_trap(d, w1, w2)
 
+
+W = g.TWO_PI * 1e6
 
 # 0.1 um wells at 2pi * 0.05 MHz: the old solver's stop rule, 1e-9 of the
 # force at the trap centers, is 6e-5 of the Coulomb force of the 21.7 um chain
@@ -168,14 +170,6 @@ class TestSolveEquilibrium:
                 assert np.array_equal(other.positions, z)
                 assert (other.delta, other.h) == (eq.delta, eq.h)
 
-    def test_outer_frequency_slack_stays_within_bound(self):
-        layout = g.preset_layout_field("table1-d3")[0]
-        freqs = layout.frequencies * np.array([1.0, 1.0, 1.0 + 1e-13])
-        skewed = g.TrapLayout("multi", layout.centers, freqs, layout.d)
-        eq = g.solve_equilibrium(skewed)
-        assert np.max(np.abs(eq.positions - oracle_positions(skewed))) <= 1e-11 * eq.h
-
-
 class TestNormalModes:
     def test_linear_chain_closed_form(self):
         w = g.TWO_PI * 0.9e6
@@ -313,32 +307,34 @@ class TestConstantsValidation:
 
 
 class TestLayoutValidation:
-    def test_unequal_outer_frequencies_rejected(self):
-        with pytest.raises(ValueError):
-            g.TrapLayout.multi_trap(4e-6, g.TWO_PI * 1e6, g.TWO_PI * 1e6).__class__(
-                "multi", np.array([-4e-6, 0, 4e-6]),
-                np.array([g.TWO_PI * 1e6, g.TWO_PI * 1e6, g.TWO_PI * 2e6]), 4e-6)
+    @pytest.mark.parametrize("make, args, match", [
+        (g.TrapLayout, (-1e-6, W, W), "non-negative"),
+        *[(g.TrapLayout, (4e-6, W, W)[:i] + (bad,) + (4e-6, W, W)[i + 1:], "finite")
+          for i in range(3) for bad in (np.nan, np.inf, -np.inf)],
+        # d = 0 is one linear trap: its two frequencies must agree exactly
+        (g.TrapLayout, (0.0, W, W * (1 + 2**-52)), "W1 must equal W2"),
+        (g.TrapLayout, (0.0, W, 0.5 * W), "W1 must equal W2"),
+        (g.TrapLayout.multi_trap, (0.0, W, W), "finite, positive trap spacing"),
+        (g.TrapLayout.multi_trap, (np.nan, W, W), "finite, positive trap spacing"),
+        (g.TrapLayout.multi_trap, (np.inf, W, W), "finite"),
+    ])
+    def test_bad_layout_refused(self, make, args, match):
+        with pytest.raises(ValueError, match=match):
+            make(*args)
 
-    def test_uneven_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            g.TrapLayout("multi", np.array([-4e-6, 0.0, 5e-6]),
-                         np.full(3, g.TWO_PI * 1e6), 4e-6)
-
-    def test_spacing_check_is_relative_only(self):
-        # 0.8% uneven, yet within np.allclose's default atol of 1e-8 m; the
-        # closed-form equilibrium leaves a force residual on such a layout
-        w = g.TWO_PI * 1e6
-        with pytest.raises(ValueError, match="even steps"):
-            g.TrapLayout("multi", [-1e-6, 0.0, 1.008e-6], [w, w, w], 1e-6)
-        with pytest.raises(ValueError, match="even steps"):
-            g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w], 1.001e-6)
-        with pytest.raises(ValueError, match="W1 and W3"):
-            g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w * (1 + 1e-11)], 1e-6)
-        for d in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite, positive trap spacing"):
-                g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w], d)
-        g.TrapLayout("multi", [-1e-6, 0.0, 1e-6], [w, w, w * (1 + 1e-13)],
-                     1e-6 * (1 + 1e-13))
+    def test_derived_arrays_match_the_stored_format(self):
+        # bit for bit the arrays multi_trap and linear used to store
+        for layout in preset_layouts():
+            d, w1, w2 = layout.d, layout.w1, layout.w2
+            if layout.mode == "multi":
+                centers, freqs = np.array([-d, 0.0, d]), np.array([w1, w2, w1])
+            else:
+                assert (d, w1) == (0.0, w2)
+                centers, freqs = np.zeros(3), np.full(3, w1)
+            assert layout.centers.tobytes() == centers.tobytes()
+            assert layout.frequencies.tobytes() == freqs.tobytes()
+        assert g.TrapLayout.linear(W) == g.TrapLayout(0.0, W, W)
+        assert g.TrapLayout.multi_trap(4e-6, W, 2 * W).mode == "multi"
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -352,28 +348,6 @@ class TestLayoutValidation:
             g.TrapLayout.multi_trap(4e-6, bad, g.TWO_PI * 1e6)
         with pytest.raises(ValueError, match="finite"):
             g.TrapLayout.multi_trap(4e-6, g.TWO_PI * 1e6, bad)
-
-    def test_linear_centers_must_coincide_exactly(self):
-        # 5 nm is inside np.allclose's default atol, but it breaks the mirror
-        # symmetry the closed-form equilibrium relies on
-        with pytest.raises(ValueError, match="coincident"):
-            g.TrapLayout("linear", np.array([0.0, 5e-9, 0.0]),
-                         np.full(3, g.TWO_PI * 1e6), None)
-        with pytest.raises(ValueError, match="coincident"):
-            g.TrapLayout("linear", np.array([0.0, 0.0, 1e-300]),
-                         np.full(3, g.TWO_PI * 1e6), None)
-        shifted = g.TrapLayout("linear", np.full(3, 2e-6), np.full(3, g.TWO_PI * 1e6),
-                               None)
-        eq = g.solve_equilibrium(shifted)
-        assert eq.positions[1] == 2e-6
-        assert eq.residual <= 1e-15 * shifted.constants.coulomb / eq.h**2
-
-    def test_non_finite_center_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            g.TrapLayout("linear", np.array([np.nan, np.nan, np.nan]),
-                         np.full(3, g.TWO_PI * 1e6), None)
-        with pytest.raises(ValueError, match="finite"):
-            g.TrapLayout.multi_trap(np.inf, g.TWO_PI * 1e6, g.TWO_PI * 1e6)
 
     def test_frequency_for_spacing_inverts_spacing(self):
         w = g.linear_frequency_for_spacing(4e-6)
@@ -408,14 +382,7 @@ class TestLayoutValidation:
     def test_stiffness_range_edges_solve_finite(self):
         # every closed form stays finite, with no floating-point warning, at
         # the edges of the accepted range
-        c = g.DEFAULT_CONSTANTS
-        lo, hi = trap.STIFFNESS_RANGE
-        ws = (np.sqrt(lo / c.mass) * (1 + 1e-9), np.sqrt(hi / c.mass) * (1 - 1e-9))
-        ds = ((c.coulomb / hi) ** (1 / 3) * (1 + 1e-9),
-              (c.coulomb / lo) ** (1 / 3) * (1 - 1e-9))
-        chains = [g.TrapLayout.linear(w) for w in ws]
-        chains += [g.TrapLayout.multi_trap(d, w1, w2) for d in ds for w1 in ws for w2 in ws]
-        for layout in chains:
+        for layout in stiffness_corner_layouts():
             chain = g.solve_chain(layout, g.FieldConfig(1e4))
             cs = chain.couplings
             values = [chain.equilibrium.h, *chain.modes.nu, *chain.modes.D.ravel(),

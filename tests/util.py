@@ -352,6 +352,19 @@ def exact_outer_displacement(layout, bits=80):
     return (lo + hi) / 2
 
 
+def stiffness_corner_layouts():
+    """Layouts just inside every corner of `trap.STIFFNESS_RANGE`: the softest
+    and stiffest m W^2 for W1 and W2, and the same for k / d^3 (two linear
+    traps and eight micro-trap arrays)."""
+    c = g.DEFAULT_CONSTANTS
+    lo, hi = g.trap.STIFFNESS_RANGE
+    ws = (np.sqrt(lo / c.mass) * (1 + 1e-9), np.sqrt(hi / c.mass) * (1 - 1e-9))
+    ds = ((c.coulomb / hi) ** (1 / 3) * (1 + 1e-9),
+          (c.coulomb / lo) ** (1 / 3) * (1 - 1e-9))
+    layouts = [g.TrapLayout.linear(w) for w in ws]
+    return layouts + [g.TrapLayout.multi_trap(d, w1, w2) for d in ds for w1 in ws for w2 in ws]
+
+
 def layouts():
     """Hypothesis strategy: micro-trap layouts over the search's default
     ranges (d 1-7 um, W1 2pi 0.3-4 MHz, W2 2pi 0.05-3 MHz) and linear traps
@@ -529,8 +542,8 @@ def sweep_search_oracle(mode, spacing, space=None, constants=g.DEFAULT_CONSTANTS
             for w1 in _grid(stage_space.w1):
                 for w2 in _grid(stage_space.w2):
                     base = g.evaluate_candidate(
-                        CandidateParams("multi", float(stage_space.gradient[0]),
-                                        d=d, w1=float(w1), w2=float(w2)),
+                        CandidateParams(d, float(w1), float(w2),
+                                        float(stage_space.gradient[0])),
                         constants)
                     best = _sweep_gradient_oracle(base, stage_space.gradient, space,
                                                   constants, best, trace)
@@ -545,7 +558,7 @@ def sweep_search_oracle(mode, spacing, space=None, constants=g.DEFAULT_CONSTANTS
         return _oracle_result(best[1] if best else None, evaluations,
                               tuple(trace or ()))
     w = g.linear_frequency_for_spacing(spacing, constants)
-    base = g.evaluate_candidate(CandidateParams("linear", float(space.gradient[0]), w=w),
+    base = g.evaluate_candidate(CandidateParams(0.0, w, w, float(space.gradient[0])),
                                 constants)
     grid = space.gradient
     for _stage in range(2):
