@@ -235,8 +235,15 @@ def heating_time_scaled(reference_time: float, reference_size: float,
     """Rescale a motional heating time by the fourth power of trap size.
 
     Heating rates grow as R^-4 when a trap is shrunk, so the heating time
-    scales as (size / reference_size)^4.
+    scales as (size / reference_size)^4. A result beyond the float range is
+    refused.
     """
     if not all(0.0 < x < math.inf for x in (reference_time, reference_size, size)):
         raise ValueError("times and sizes must be finite and positive")
-    return reference_time * (size / reference_size) ** 4
+    try:
+        scaled = reference_time * (size / reference_size) ** 4
+    except OverflowError:  # a float power raises where a product gives inf
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise ValueError("scaled heating time overflows the float range")
+    return scaled

@@ -432,15 +432,17 @@ def _place_blocks(U: np.ndarray, rows, pulses, blocks: np.ndarray) -> None:
 
 
 def _drive_hamiltonian(slot: PulseSlot) -> tuple[np.ndarray, float]:
+    """The slot's drive -(rabi/2)(e^{-i phi} sigma_+ + e^{i phi} sigma_-) summed
+    over its pulses, each pulse's two entries written at its lo-hi and hi-lo
+    block positions, and the slot's one realized duration."""
     durations = {p.duration for p in slot.pulses}
     if len(durations) != 1:
         raise ValueError("simultaneous pulses must share one realized duration")
-    H = np.zeros((8, 8), dtype=complex)
+    H = np.zeros(64, dtype=complex)
     for p in slot.pulses:
-        coupling_op = np.array([[0.0, np.exp(1j * p.phi)],
-                                [np.exp(-1j * p.phi), 0.0]])
-        H -= 0.5 * p.rabi * embed(coupling_op, p.ion)
-    return H, durations.pop()
+        H[_BLOCK_POSITIONS[p.ion - 1, 2:]] -= 0.5 * p.rabi * np.array(
+            [[np.exp(1j * p.phi)], [np.exp(-1j * p.phi)]])
+    return H.reshape(8, 8), durations.pop()
 
 
 def integrate_segment_unitary(hamiltonian: np.ndarray, duration) -> np.ndarray:

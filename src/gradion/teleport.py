@@ -8,15 +8,21 @@ probability 1/4 and leave ion 3 one Pauli away from the input:
 
     outcome 00 -> sigma_x, 01 -> identity, 10 -> i sigma_y, 11 -> sigma_z.
 
-One stage runner serves all three gate modes: the stages entangle,
-encode and rotate, the measurement of ions 1,2, then the correct stage. A
-stage is a sequence of steps, each a unitary and a wall-clock duration. In
-"ideal" mode it is one exact gate matrix of zero duration
-(`IDEAL_STAGES`). "scheduled" and "integrated" build the stage's pulse
-schedule from the config's derived `PulseContext`, and all of its segment
-unitaries at once with `pulses.stage_propagators`: ideal ones, or in
-"integrated" the exact propagators of their constant Hamiltonians,
-spin-spin terms kept active during pulses.
+One stage runner serves all three gate modes: the coherent stages
+entangle, encode and rotate, the measurement of ions 1,2, then the
+correct stage. A stage is a sequence of steps, each a unitary and a
+wall-clock duration. In "ideal" mode the coherent steps are the three
+exact gate matrices of `IDEAL_STAGES` and the correction one more, all of
+zero duration. "scheduled" and "integrated" run pulse schedules. These
+read only J, t_m and the Rabi frequency in the interaction frame, so each
+chain's schedules are compiled once: the three coherent stages joined
+into one schedule, each stage's duration, and the four correction
+schedules, kept in a bounded module-level cache keyed by those three
+values. A run then builds its segment unitaries in one
+`pulses.stage_propagators` pass over the joined schedule and one over its
+correction: ideal ones, or in "integrated" the exact propagators of their
+constant Hamiltonians, spin-spin terms kept active during pulses.
+Propagators are not cached; they depend on the full coupling set.
 Optional per-qubit dephasing (phase damping applied after every step,
 scaled by its wall-clock duration) makes the register a density matrix;
 it requires a mode with durations, so "ideal" rejects nonzero rates.
@@ -34,7 +40,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +77,32 @@ _FLIPS = 0.5 * (1.0 - Z_SIGNS[:, None, :] * Z_SIGNS[None, :, :])
 
 def _check_amplitudes(alpha: complex, beta: complex) -> None:
     # written so that a NaN amplitude fails the test too
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:
+    try:
+        normalized = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10
+    except TypeError:  # not a number: "x", None
+        normalized = False
+    if not normalized:
         raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+
+
+_RATES_MESSAGE = "dephasing needs three finite, non-negative rates"
+
+
+def _dephasing_rates(rates) -> tuple[float, float, float]:
+    """Three finite, non-negative rates from a real scalar (0-d arrays too)
+    or a length-3 sequence; a tuple of three floats is taken as it is."""
+    if not (type(rates) is tuple and len(rates) == 3
+            and all(type(r) is float for r in rates)):
+        try:
+            array = np.asarray(rates)
+        except ValueError:  # a ragged sequence
+            raise ValueError(_RATES_MESSAGE) from None
+        if array.dtype.kind not in "biuf" or array.shape not in ((), (3,)):
+            raise ValueError(_RATES_MESSAGE)
+        rates = tuple(float(r) for r in np.broadcast_to(array, (3,)))
+    if not all(math.isfinite(r) and r >= 0.0 for r in rates):
+        raise ValueError(_RATES_MESSAGE)
+    return rates
 
 
 @dataclass(frozen=True)
@@ -79,10 +110,10 @@ class ProtocolConfig:
     """Inputs of one teleportation run.
 
     ``seed`` is None or a non-negative integer, stored as a Python int.
-    ``dephasing`` is a per-qubit phase-damping rate in 1/s (scalar applies
-    to all three). ``couplings`` may be omitted in ideal mode only.
-    ``pulses`` is derived: the interaction-frame `PulseContext` of
-    ``couplings``, ``t_m`` and ``rabi`` that builds every stage schedule.
+    ``dephasing`` is a per-qubit phase-damping rate in 1/s (a real scalar
+    applies to all three), stored as a tuple of three floats.
+    ``couplings`` may be omitted in ideal mode only. ``rabi`` is finite and
+    positive, ``t_m`` finite and non-negative.
     """
 
     alpha: complex
@@ -93,7 +124,6 @@ class ProtocolConfig:
     dephasing: tuple[float, float, float] = (0.0, 0.0, 0.0)
     t_m: float = T_M_DEFAULT
     rabi: float = RABI_DEFAULT
-    pulses: PulseContext = field(init=False)
 
     def __post_init__(self) -> None:
         if self.gate_mode not in GATE_MODES:
@@ -108,20 +138,25 @@ class ProtocolConfig:
                 raise ValueError(f"seed must be a non-negative integer or None, "
                                  f"got {self.seed!r}")
             object.__setattr__(self, "seed", seed)
-        rates = self.dephasing
-        if np.isscalar(rates):
-            rates = (float(rates),) * 3
-        rates = tuple(float(r) for r in rates)
-        if len(rates) != 3 or not all(math.isfinite(r) and r >= 0.0 for r in rates):
-            raise ValueError("dephasing needs three finite, non-negative rates")
+        rates = _dephasing_rates(self.dephasing)
         object.__setattr__(self, "dephasing", rates)
         if self.gate_mode == "ideal" and any(r > 0.0 for r in rates):
             raise ValueError("dephasing needs schedule durations; use scheduled or "
                              "integrated gate mode")
         if self.gate_mode != "ideal" and self.couplings is None:
             raise ValueError(f"{self.gate_mode} mode requires a coupling set")
-        object.__setattr__(self, "pulses", PulseContext(
-            self.couplings, INTERACTION, self.t_m, self.rabi))
+        # the checks `PulseContext` makes, with its messages
+        if not (math.isfinite(self.rabi) and self.rabi > 0.0):
+            raise ValueError(f"Rabi frequency must be finite and positive: {self.rabi!r}")
+        if not (math.isfinite(self.t_m) and self.t_m >= 0.0):
+            raise ValueError(f"slot time t_m must be finite and non-negative: "
+                             f"{self.t_m!r}")
+
+    @property
+    def pulses(self) -> PulseContext:
+        """The interaction-frame `PulseContext` of ``couplings``, ``t_m`` and
+        ``rabi`` that builds every stage schedule."""
+        return PulseContext(self.couplings, INTERACTION, self.t_m, self.rabi)
 
 
 @dataclass(frozen=True)
@@ -215,6 +250,56 @@ def protocol_schedules(ctx: PulseContext) -> dict:
     }
 
 
+_COHERENT = ("entangle", "encode", "rotate")
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """A protocol's stages, ready to run: the coherent stages joined in
+    order, each one's duration, and the correction per outcome index
+    2 b1 + b2."""
+
+    coherent: PulseSchedule | np.ndarray  # ideal mode: a read-only stack of gates
+    durations: tuple[float, float, float]
+    corrections: tuple[PulseSchedule | np.ndarray, ...]
+
+
+def _read_only(matrices) -> np.ndarray:
+    stack = np.array(matrices)
+    stack.flags.writeable = False
+    return stack
+
+
+_IDEAL = _Compiled(
+    _read_only([IDEAL_STAGES[name] for name in _COHERENT]), (0.0, 0.0, 0.0),
+    tuple(_read_only([embed(CORRECTIONS[bits][1], 3)]) for bits in CORRECTIONS))
+
+#: compiled schedules kept, oldest dropped first; the bundled presets at one
+#: (t_m, rabi) need 12
+_COMPILED_SIZE = 64
+_compiled: dict[tuple[float, float, float], _Compiled] = {}
+_compiled_lock = threading.Lock()
+
+
+def _compile(config: ProtocolConfig) -> _Compiled:
+    """The config's interaction-frame schedules, built on the first use of
+    its (J, t_m, rabi). A refused build raises and is not kept."""
+    key = (float(config.couplings.J), float(config.t_m), float(config.rabi))
+    compiled = _compiled.get(key)
+    if compiled is None:
+        ctx = config.pulses
+        stages = protocol_schedules(ctx)
+        compiled = _Compiled(
+            stages["entangle"] + stages["encode"] + stages["rotate"],
+            tuple(stages[name].total_duration for name in _COHERENT),
+            tuple(correction_schedule(bits, ctx) for bits in CORRECTIONS))
+        with _compiled_lock:
+            if len(_compiled) >= _COMPILED_SIZE:
+                del _compiled[next(iter(_compiled))]
+            _compiled[key] = compiled
+    return compiled
+
+
 # -- stage runner -----------------------------------------------------------
 
 class _Register:
@@ -278,7 +363,7 @@ class _Register:
 def _steps(stage, config: ProtocolConfig):
     """(unitaries, wall-clock durations) of a stage's steps in the config's gate mode."""
     if config.gate_mode == "ideal":
-        return (stage,), (0.0,)
+        return stage, np.zeros(len(stage))
     return stage_propagators(stage, config.couplings, config.gate_mode == "integrated")
 
 
@@ -296,17 +381,15 @@ def run_teleport(config: ProtocolConfig,
     (alpha, beta). With a fixed seed the run is fully deterministic.
     """
     rng = np.random.default_rng(config.seed)
-    ideal = config.gate_mode == "ideal"
-    stages = IDEAL_STAGES if ideal else protocol_schedules(config.pulses)
+    compiled = _IDEAL if config.gate_mode == "ideal" else _compile(config)
     register = _Register(prepare_initial(config.alpha, config.beta).amplitudes,
                          config.dephasing)
-    durations: dict[str, float] = {"prepare": 0.0}
-    for name in ("entangle", "encode", "rotate"):
-        durations[name] = _run_stage(register, stages[name], config)
+    _run_stage(register, compiled.coherent, config)
+    durations = {"prepare": 0.0}
+    durations.update(zip(_COHERENT, compiled.durations))
     bits, prob = register.measure(rng, force_outcome)
-    correction = (embed(CORRECTIONS[bits][1], 3) if ideal
-                  else correction_schedule(bits, config.pulses))
-    durations["correct"] = _run_stage(register, correction, config)
+    durations["correct"] = _run_stage(
+        register, compiled.corrections[2 * bits[0] + bits[1]], config)
     out = register.qubit3(bits)
     return TeleportRecord(
         outcome=bits, correction=CORRECTIONS[bits][0],

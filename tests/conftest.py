@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,13 @@ def d4_chain():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def cold_schedules():
+    """`gradion.teleport`'s compiled-schedule cache, emptied before the test
+    and after it."""
+    teleport = importlib.import_module("gradion.teleport")
+    teleport._compiled.clear()
+    yield teleport._compiled
+    teleport._compiled.clear()

@@ -375,6 +375,12 @@ class TestHeatingTime:
         with pytest.raises(ValueError, match="finite and positive"):
             g.heating_time_scaled(*args)
 
+    @pytest.mark.parametrize("args", [(1.0, 1e-100, 1e100), (1e300, 1e-6, 1e-3)])
+    def test_overflow_refused(self, args):
+        # the first overflows in the fourth power, the second in the product
+        with pytest.raises(ValueError, match="overflows"):
+            g.heating_time_scaled(*args)
+
 
 class TestSolveChain:
     def test_matches_step_by_step_pipeline_with_layout_constants(self):

@@ -257,6 +257,30 @@ class TestRunIdeal:
             g.ProtocolConfig(1.0, 0.0, gate_mode=mode, couplings=d4_chain.couplings,
                              dephasing=bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"dephasing": None}, "three finite, non-negative rates"),
+        ({"dephasing": [1 + 0j, 0, 0]}, "three finite, non-negative rates"),
+        ({"dephasing": np.array([1 + 0j, 0, 0])}, "three finite, non-negative rates"),
+        ({"dephasing": "5"}, "three finite, non-negative rates"),
+        ({"dephasing": [1.0, [2.0, 3.0], 4.0]}, "three finite, non-negative rates"),
+        ({"dephasing": np.zeros((3, 1))}, "three finite, non-negative rates"),
+        ({"dephasing": (1.0, 2.0)}, "three finite, non-negative rates"),
+        ({"alpha": "x", "beta": 1}, "amplitudes"),
+        ({"alpha": None}, "amplitudes"),
+    ])
+    def test_malformed_input_is_a_value_error(self, d4_chain, bad, message):
+        config = dict(alpha=0.6, beta=0.8, gate_mode="scheduled",
+                      couplings=d4_chain.couplings)
+        with pytest.raises(ValueError, match=message):
+            g.ProtocolConfig(**{**config, **bad})
+
+    @pytest.mark.parametrize("rate", [5, 5.0, np.int64(5), np.float32(5), np.array(5.0)])
+    def test_scalar_dephasing_applies_to_every_qubit(self, d4_chain, rate):
+        config = g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled",
+                                  couplings=d4_chain.couplings, dephasing=rate)
+        assert config.dephasing == (5.0, 5.0, 5.0)
+        assert all(type(r) is float for r in config.dephasing)
+
     @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_rabi_rejected_at_construction(self, d4_chain, mode, bad):
@@ -532,6 +556,59 @@ class TestStepRunnerOracle:
         oracle = record_set(seeds)
         assert len(fast) == 576
         assert_records_agree(fast, oracle)
+
+
+class TestCompiledSchedules:
+    """Each chain's schedules are compiled once per (J, t_m, rabi) and kept
+    in a bounded cache; a run builds its propagators from them."""
+
+    def test_cold_and_warm_runs_match_step_runner(self, monkeypatch, cold_schedules):
+        def records(cold):
+            out = []
+            for name in sorted(g.PRESETS):
+                couplings = preset_couplings(name)
+                for mode, rates in (("ideal", 0.0), ("scheduled", 0.0),
+                                    ("integrated", (30.0, 5.0, 80.0))):
+                    for k, forced in enumerate(CORRECTIONS):
+                        a, b = haar_qubit(np.random.default_rng(k))
+                        config = g.ProtocolConfig(
+                            complex(a), complex(b), gate_mode=mode, seed=k,
+                            couplings=couplings, dephasing=rates)
+                        if cold:
+                            cold_schedules.clear()
+                        else:  # compile first, then record
+                            g.run_teleport(config, force_outcome=forced)
+                        out.append(g.run_teleport(config, force_outcome=forced))
+            return out
+
+        cold, warm = records(cold=True), records(cold=False)
+        assert len(warm) == 12 * 3 * 4
+        assert [r.to_json() for r in cold] == [r.to_json() for r in warm]
+        monkeypatch.setattr(importlib.import_module("gradion.teleport"), "_run_stage",
+                            run_stage_oracle)
+        assert_records_agree(warm, records(cold=False))
+
+    def test_cache_is_bounded(self, d4_chain, cold_schedules):
+        size = importlib.import_module("gradion.teleport")._COMPILED_SIZE
+        rabis = [g.TWO_PI * 1e6 * (1.0 + k / 100) for k in range(size + 5)]
+        for k, rabi in enumerate(rabis):
+            g.run_teleport(g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled", seed=1,
+                                            couplings=d4_chain.couplings, rabi=rabi))
+            assert len(cold_schedules) == min(k + 1, size)
+        # the oldest keys went first
+        assert [key[2] for key in cold_schedules] == rabis[-size:]
+
+    def test_refused_build_is_not_kept(self, monkeypatch, d4_chain, cold_schedules):
+        teleport = importlib.import_module("gradion.teleport")
+        builds = []
+        monkeypatch.setattr(teleport, "protocol_schedules",
+                            lambda ctx: builds.append(ctx) or protocol_schedules(ctx))
+        config = g.ProtocolConfig(0.6, 0.8, gate_mode="scheduled", seed=1,
+                                  couplings=dataclasses.replace(d4_chain.couplings, J=0.0))
+        for attempt in (1, 2):
+            with pytest.raises(ValueError, match="positive nearest-neighbor coupling J"):
+                g.run_teleport(config)
+            assert len(builds) == attempt and cold_schedules == {}
 
 
 class TestKronFreeOperators:

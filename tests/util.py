@@ -134,7 +134,8 @@ def segment_unitary(item, couplings: g.CouplingSet, frame: str) -> np.ndarray:
 def steps_oracle(stage, config):
     """(unitary, wall-clock duration) per step of a stage in the config's gate mode."""
     if config.gate_mode == "ideal":
-        yield stage, 0.0
+        for U in stage:  # a stack of exact gates
+            yield U, 0.0
     elif config.gate_mode == "integrated":
         hams = segment_hamiltonians_oracle(stage, config.couplings)
         for item, (H, physical) in zip(stage.items, hams):
