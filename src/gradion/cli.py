@@ -15,6 +15,9 @@ Physical parameters come from a preset (``--preset table1-d4``), a config
 file (``key = value`` lines, ``#`` comments), and command flags, in that
 order of increasing precedence. `presets.layout_field` turns the merged
 settings into a layout and field, and `couplings.solve_chain` solves them.
+`table1` and `table3` share one handler, which reports the search winner's
+design row as `couplings` builds it. `teleport` (always JSON) and `verify`
+take no ``--format``.
 Exit codes: 0 success; 2 when argparse rejects the command line; 1 for any
 rejected value (unknown preset, bad config value, unnormalized amplitudes,
 non-positive Rabi frequency, ...) or failed computation.
@@ -33,13 +36,15 @@ from functools import cache
 import numpy as np
 
 from .constants import TWO_PI, DEFAULT_CONSTANTS, PhysicalConstants
-from .couplings import Chain, carrier_spectrum, neighbor_resonance_shift, solve_chain
+from .couplings import (Chain, FieldConfig, carrier_spectrum, neighbor_resonance_shift,
+                        solve_chain)
 from .operators import cnot_matrix, deviation_up_to_phase
 from .presets import PRESETS, layout_field
 from .pulses import (FreeEvolution, INTERACTION, LAB, PulseContext, build_cnot,
                      schedule_unitary, serialize_schedule)
 from .search import SearchSpace, maximize_J_linear, maximize_J_multitrap
 from .teleport import ProtocolConfig, run_teleport
+from .trap import TrapLayout
 from . import verify as verify_mod
 
 CONFIG_KEYS = {
@@ -296,52 +301,26 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _search_space(settings: dict) -> SearchSpace:
-    if "eps_ceiling" in settings:
-        return SearchSpace(eps_ceiling=settings["eps_ceiling"])
-    return SearchSpace()
+#: the search each search command runs, and the flag that gives its spacing (um)
+_SEARCHES = {"table1": (maximize_J_multitrap, "d"), "table3": (maximize_J_linear, "h")}
 
 
-def cmd_table1(args) -> int:
+def cmd_search(args) -> int:
     settings = _merge_settings(args)
     constants = _constants(settings)
-    result = maximize_J_multitrap(args.d * 1e-6, _search_space(settings), constants)
+    search, flag = _SEARCHES[args.command]
+    space = (SearchSpace(eps_ceiling=settings["eps_ceiling"])
+             if "eps_ceiling" in settings else None)
+    spacing = getattr(args, flag)
+    result = search(spacing * 1e-6, space, constants)
     if not result.feasible:
         print("no feasible point found", file=sys.stderr)
         return 1
-    payload = {
-        "d_um": args.d,
-        "w1_2pi_mhz": result.params.w1 / (TWO_PI * 1e6),
-        "w2_2pi_mhz": result.params.w2 / (TWO_PI * 1e6),
-        "gradient_t_per_m": result.params.gradient,
-        "delta_um": result.delta * 1e6,
-        "eps_max": result.eps_max,
-        "h_um": result.h * 1e6,
-        "j_2pi_khz": result.J / (TWO_PI * 1e3),
-        "j13_2pi_khz": result.J13 / (TWO_PI * 1e3),
-        "evaluations": result.evaluations,
-    }
-    _emit(args, payload, _csv_row(payload, "multi"))
-    return 0
-
-
-def cmd_table3(args) -> int:
-    settings = _merge_settings(args)
-    constants = _constants(settings)
-    result = maximize_J_linear(args.h * 1e-6, _search_space(settings), constants)
-    if not result.feasible:
-        print("no feasible point found", file=sys.stderr)
-        return 1
-    payload = {
-        "h_um": args.h,
-        "w_2pi_mhz": result.params.w1 / (TWO_PI * 1e6),
-        "gradient_t_per_m": result.params.gradient,
-        "eps_max": result.eps_max,
-        "j_2pi_khz": result.J / (TWO_PI * 1e3),
-        "j13_2pi_khz": result.J13 / (TWO_PI * 1e3),
-        "evaluations": result.evaluations,
-    }
-    _emit(args, payload, _csv_row(payload, "linear"))
+    p = result.params
+    chain = solve_chain(TrapLayout(p.d, p.w1, p.w2, constants), FieldConfig(p.gradient))
+    row = _csv_row(_couplings_payload(settings, chain), chain.layout.mode)[0]
+    row[f"{flag}_um"] = spacing  # echoed: spacing * 1e-6 * 1e6 may differ in the last bit
+    _emit(args, {**row, "evaluations": result.evaluations}, [row])
     return 0
 
 
@@ -412,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Three trapped ions in a magnetic field gradient.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, presets=True):
+    def common(p, formats=True):
         p.add_argument("--config", help="key=value config file")
-        if presets:
-            p.add_argument("--preset", help=f"one of {', '.join(sorted(PRESETS))}")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--preset", help=f"one of {', '.join(sorted(PRESETS))}")
+        if formats:  # the reports `_emit` renders
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
 
     for name, fn in (("modes", cmd_modes), ("couplings", cmd_couplings),
@@ -425,15 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.set_defaults(handler=fn)
 
-    p = sub.add_parser("table1", help="largest-J search for a micro-trap spacing")
-    common(p)
-    p.add_argument("--d", type=float, default=4.0, help="trap spacing in um")
-    p.set_defaults(handler=cmd_table1)
-
-    p = sub.add_parser("table3", help="largest-J search for a linear-trap spacing")
-    common(p)
-    p.add_argument("--h", type=float, default=4.0, help="ion spacing in um")
-    p.set_defaults(handler=cmd_table3)
+    for name, trap, spacing in (("table1", "micro-trap", "trap"),
+                                ("table3", "linear-trap", "ion")):
+        p = sub.add_parser(name, help=f"largest-J search for a {trap} spacing")
+        common(p)
+        p.add_argument(f"--{_SEARCHES[name][1]}", type=float, default=4.0,
+                       help=f"{spacing} spacing in um")
+        p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("cnot")
     common(p)
@@ -443,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_cnot)
 
     p = sub.add_parser("teleport")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--alpha", default="1", help="complex amplitude of |0>")
     p.add_argument("--beta", default="0", help="complex amplitude of |1>")
     p.add_argument("--mode", choices=("ideal", "scheduled", "integrated"),

@@ -71,7 +71,7 @@ class SpinState:
             raise ValueError("spin state needs eight amplitudes")
         if self.frame not in FRAMES:
             raise ValueError(f"unknown frame {self.frame!r}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError("spin state is not normalized")
 
     @classmethod
@@ -80,8 +80,11 @@ class SpinState:
         a, b, c = (np.asarray(q, complex) for q in (q1, q2, q3))
         # the products kron(kron(a, b), c) forms, in its order, without its overhead
         amps = ((a[:, None, None] * b[None, :, None]) * c[None, None, :]).ravel()
-        amps = amps / np.linalg.norm(amps)
-        return cls(amps, frame)
+        norm = np.linalg.norm(amps)
+        if not 0.0 < norm < math.inf:  # a zero or non-finite factor, NaN too
+            raise ValueError(f"product state needs finite, nonzero qubit states, "
+                             f"got norm {float(norm)!r}")
+        return cls(amps / norm, frame)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class Pulse:
     residuals: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.ion not in (1, 2, 3) or isinstance(self.ion, float):
+        if self.ion not in (1, 2, 3) or isinstance(self.ion, (bool, np.bool_, float)):
             raise ValueError(f"ion index must be 1, 2, or 3, got {self.ion!r}")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)
                 and math.isfinite(self.rabi)):
@@ -268,6 +271,23 @@ def commensurate_pulse(w, theta: float, rabi_nominal: float,
 
 # -- schedule builders ------------------------------------------------------
 
+def _check_timing(rabi, t_m) -> None:
+    """Refuse a Rabi frequency (rad/s) that is not finite and positive, or a
+    slot time t_m (s) that is not finite and non-negative; a non-number too."""
+    try:  # both values in one test first: a ProtocolConfig is built per run
+        if math.isfinite(rabi) and rabi > 0.0 and math.isfinite(t_m) and t_m >= 0.0:
+            return
+    except (TypeError, OverflowError):  # "x", None, a complex, an int beyond float
+        pass
+    try:
+        rabi_ok = math.isfinite(rabi) and rabi > 0.0
+    except (TypeError, OverflowError):
+        rabi_ok = False
+    if not rabi_ok:
+        raise ValueError(f"Rabi frequency must be finite and positive: {rabi!r}")
+    raise ValueError(f"slot time t_m must be finite and non-negative: {t_m!r}")
+
+
 @dataclass(frozen=True)
 class PulseContext:
     """How every builder turns a rotation into a pulse of length theta / rabi.
@@ -289,11 +309,7 @@ class PulseContext:
     def __post_init__(self) -> None:
         if self.frame not in FRAMES:
             raise ValueError(f"unknown frame {self.frame!r}; choose from {FRAMES}")
-        if not (math.isfinite(self.rabi) and self.rabi > 0.0):
-            raise ValueError(f"Rabi frequency must be finite and positive: {self.rabi!r}")
-        if not (math.isfinite(self.t_m) and self.t_m >= 0.0):
-            raise ValueError(f"slot time t_m must be finite and non-negative: "
-                             f"{self.t_m!r}")
+        _check_timing(self.rabi, self.t_m)
         if self.commensurate and (self.frame != LAB or self.couplings is None):
             raise ValueError("pulse-length commensuration needs the lab frame and "
                              "the coupling set's qubit frequencies")

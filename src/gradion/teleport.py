@@ -49,7 +49,7 @@ from .couplings import CouplingSet
 from .operators import Z_SIGNS, cnot_matrix, embed, hadamard_matrix, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
                      T_M_DEFAULT, RABI_DEFAULT, build_cnot, composite_z_rotation,
-                     hadamard_schedule, stage_propagators)
+                     _check_timing, hadamard_schedule, stage_propagators)
 
 GATE_MODES = ("ideal", "scheduled", "integrated")
 
@@ -145,12 +145,7 @@ class ProtocolConfig:
                              "integrated gate mode")
         if self.gate_mode != "ideal" and self.couplings is None:
             raise ValueError(f"{self.gate_mode} mode requires a coupling set")
-        # the checks `PulseContext` makes, with its messages
-        if not (math.isfinite(self.rabi) and self.rabi > 0.0):
-            raise ValueError(f"Rabi frequency must be finite and positive: {self.rabi!r}")
-        if not (math.isfinite(self.t_m) and self.t_m >= 0.0):
-            raise ValueError(f"slot time t_m must be finite and non-negative: "
-                             f"{self.t_m!r}")
+        _check_timing(self.rabi, self.t_m)
 
     @property
     def pulses(self) -> PulseContext:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -180,6 +182,61 @@ class TestSearchCommands:
         assert float(row["eps_max"]) < 0.05
 
 
+def search_report(command, spacing):
+    """The text, json and csv reports of a search command, built here from
+    the library's `SearchResult`, with the columns and unit conversions of
+    the `couplings` design row."""
+    if command == "table1":
+        r = g.maximize_J_multitrap(spacing * 1e-6)
+        head = {"d_um": spacing, "w1_2pi_mhz": r.params.w1 / (g.TWO_PI * 1e6),
+                "w2_2pi_mhz": r.params.w2 / (g.TWO_PI * 1e6),
+                "gradient_t_per_m": r.params.gradient, "delta_um": r.delta * 1e6,
+                "eps_max": r.eps_max, "h_um": r.h * 1e6}
+    else:
+        r = g.maximize_J_linear(spacing * 1e-6)
+        head = {"h_um": spacing, "w_2pi_mhz": r.params.w1 / (g.TWO_PI * 1e6),
+                "gradient_t_per_m": r.params.gradient, "eps_max": r.eps_max}
+    row = {k: float(v) for k, v in head.items()}
+    row["j_2pi_khz"] = float(r.J / (g.TWO_PI * 1e3))
+    row["j13_2pi_khz"] = float(r.J13 / (g.TWO_PI * 1e3))
+    payload = {**row, "evaluations": r.evaluations}
+    return {
+        "text": "".join(f"{k} = {v!r}\n" for k, v in payload.items()),
+        "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "csv": [list(row), [repr(v) for v in row.values()]],
+    }
+
+
+class TestSearchReports:
+    """Each search command's report, exactly: the row's values, key order
+    and the given spacing, which the report echoes."""
+
+    @pytest.mark.parametrize("command, flag, spacing", [("table1", "--d", 1.7),
+                                                        ("table3", "--h", 3.7),
+                                                        ("table3", "--h", 4.6)])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_report_is_the_library_result(self, capsys, command, flag, spacing, fmt):
+        code, out, err = run_cli(capsys, [command, flag, str(spacing), "--format", fmt])
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            out = list(csv.reader(io.StringIO(out)))
+        assert out == search_report(command, spacing)[fmt]
+
+    def test_solved_spacing_differs_from_the_given_one(self):
+        # so the reports above tell the echoed spacing from the solved one
+        assert g.maximize_J_multitrap(1.7 * 1e-6).params.d * 1e6 != 1.7
+        assert g.maximize_J_linear(4.6 * 1e-6).h * 1e6 != 4.6
+
+    @pytest.mark.parametrize("command", ["table1", "table3"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_no_feasible_point_is_1(self, capsys, tmp_path, command, fmt):
+        config = tmp_path / "tight.cfg"
+        config.write_text("eps_ceiling = 1e-9\n")
+        code, out, err = run_cli(capsys, [command, "--config", str(config),
+                                          "--format", fmt])
+        assert (code, out, err) == (1, "", "no feasible point found\n")
+
+
 class TestPresetReproduction:
     @pytest.mark.parametrize("name", sorted(g.PRESETS))
     def test_preset_rederives_reference_row(self, capsys, name):
@@ -270,6 +327,15 @@ class TestTeleportCommand:
             dephasing=(rate,) * 3)
         assert code == 0
         assert out == g.run_teleport(config).to_json() + "\n"
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_format_flag_is_a_usage_error(self, capsys, fmt):
+        # the record is always JSON; --format used to be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["teleport", "--format", fmt])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -427,12 +427,14 @@ class TestCommensuration:
 
 
 class TestPulseContext:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    # a non-number used to raise a bare TypeError ("must be real number")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, "x", 1e6 + 0j, None,
+                                     pytest.param(10 ** 400, id="int-beyond-float")])
     def test_bad_rabi_rejected(self, bad):
         with pytest.raises(ValueError, match="Rabi frequency must be finite and positive"):
             g.PulseContext(rabi=bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, None, "2.5e-6"])
     def test_bad_t_m_rejected(self, bad):
         with pytest.raises(ValueError, match="t_m must be finite and non-negative"):
             g.PulseContext(t_m=bad)
@@ -532,6 +534,21 @@ class TestSpinState:
             expected = amps / np.linalg.norm(amps)
             assert g.SpinState.product(*qubits).amplitudes.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("amps", [np.full(8, np.nan), np.r_[np.nan, np.zeros(7)],
+                                      np.r_[1.0, np.nan, np.zeros(6)], np.zeros(8),
+                                      np.r_[np.inf, np.zeros(7)]])
+    def test_nan_or_unnormalized_amplitudes_rejected(self, amps):
+        # NaN used to pass the norm test, which compared with ">"
+        with pytest.raises(ValueError, match="not normalized"):
+            g.SpinState(amps)
+
+    @pytest.mark.parametrize("qubits", [([0, 0], [1, 0], [1, 0]), ([1, 0], [0, 0], [1, 1]),
+                                        ([1, 0], [1, 0], [np.nan, 1])])
+    def test_product_of_zero_or_nan_factor_rejected(self, qubits):
+        # used to divide by a zero norm: NaN amplitudes and a RuntimeWarning
+        with pytest.raises(ValueError, match="finite, nonzero qubit states"):
+            g.SpinState.product(*qubits)
+
 
 RABI = g.TWO_PI * 1e6
 
@@ -539,10 +556,10 @@ RABI = g.TWO_PI * 1e6
 class TestPulseValidation:
     """A `Pulse` drives one of the three ions with finite numbers, or is refused."""
 
-    @pytest.mark.parametrize("ion", [0, -1, -2, 4, 2.0])
+    @pytest.mark.parametrize("ion", [0, -1, -2, 4, 2.0, True, np.True_, np.float64(3.0)])
     def test_bad_ion_rejected(self, ion):
-        # 0 and -2 used to drive ions 3 and 1 through negative indexing, and
-        # a float index fails only inside the stage builder
+        # 0 and -2 used to drive ions 3 and 1 through negative indexing, a
+        # float index fails only inside the stage builder, and True was ion 1
         with pytest.raises(ValueError, match="ion index must be 1, 2, or 3"):
             g.Pulse(ion, np.pi, 0.0, RABI, np.pi / RABI)
 
