@@ -78,10 +78,13 @@ class SpinState:
     def product(cls, q1, q2, q3, frame: str = INTERACTION) -> "SpinState":
         """Build |q1> x |q2> x |q3> from three 2-component qubit states."""
         a, b, c = (np.asarray(q, complex) for q in (q1, q2, q3))
+        if not np.isfinite(np.concatenate((a, b, c))).all():  # before inf * 0 makes NaN
+            raise ValueError("product state needs finite, nonzero qubit states, "
+                             "got a non-finite amplitude")
         # the products kron(kron(a, b), c) forms, in its order, without its overhead
         amps = ((a[:, None, None] * b[None, :, None]) * c[None, None, :]).ravel()
         norm = np.linalg.norm(amps)
-        if not 0.0 < norm < math.inf:  # a zero or non-finite factor, NaN too
+        if not 0.0 < norm < math.inf:  # a zero factor, or products beyond float range
             raise ValueError(f"product state needs finite, nonzero qubit states, "
                              f"got norm {float(norm)!r}")
         return cls(amps / norm, frame)
@@ -215,6 +218,7 @@ class CommensurationResult:
 
 
 _SCAN_CHUNK = 4096  # candidates per array; a whole window at once would cost MBs
+_UNIT_ROUNDOFF = 2.0 ** -53  # u: a float operation's relative error is at most u
 
 
 def commensurate_pulse(w, theta: float, rabi_nominal: float,
@@ -222,16 +226,45 @@ def commensurate_pulse(w, theta: float, rabi_nominal: float,
                        ) -> CommensurationResult:
     """Tune a pulse length so every qubit's free phase wraps to ~2 pi N.
 
-    Candidates are the exact wrap times of the middle frequency,
-    T = 2 pi N / w_mid, within ``window`` of the nominal length
+    Candidates are the exact wrap times of the middle frequency a = w_mid,
+    T = 2 pi n / a, within ``window`` of the nominal length
     theta / rabi_nominal; the one minimizing the worst wrapped phase over
-    all ions wins, the first (smallest N) on a tie. The Rabi frequency is
-    then re-derived as theta / T. The candidates are scanned as arrays of
-    `_SCAN_CHUNK`, so memory stays flat however wide the window; a window
-    of more than 2,000,000 candidates is refused with a ValueError.
+    all ions wins, the first (smallest n) on a tie. The Rabi frequency is
+    then re-derived as theta / T.
+
+    Only the n that can win are evaluated. Another ion i is left
+    2 pi dist(n s, Z) off a wrap, s = w_i / a - round(w_i / a), and that
+    never exceeds the worst residual. So every n whose worst residual is at
+    most a bound eps lies in C(eps): the n with |n s - m| <= delta for an
+    integer m, delta = eps / 2 pi plus the margin below, one short run of n
+    per m. The steering ion i is the one whose C(eps) is estimated smallest,
+    N (|s| + 2 delta) + 2 delta / |s| for a window of N. C(eps), plus the n
+    nearest m / |s| for each m, is evaluated with the same float expressions
+    the whole window would be. If the least worst residual found is at most
+    eps, it is the window's least, and its first n the window's first, since
+    every n at or under eps is in C(eps). Otherwise that residual bounds the
+    window's least and becomes eps for a second pass, which is then final.
+    The first pass takes eps = 4 tolerance, so that a fit refused by less
+    than a factor 4, as most are, needs no second. With one ion, every other
+    ion on a harmonic of a (s = 0), or C(eps) estimated as large as the
+    window, the whole window is evaluated instead.
+
+    The margin covers float error. In cycles, with u = 2**-53, r = w_i / a
+    and n up to the window's top n_hi: the evaluated residual of ion i is
+    within 3u eps / 2 pi + 5u n_hi r + u of dist(n r, Z) = dist(n s, Z),
+    from the roundings of 2 pi n, of its division by a, of the product with
+    w_i and of the wrap; n times the float s is within u n_hi r of n s; and the
+    computed ends of a run, m / |s| -+ delta / |s|, are within 3u n_hi of
+    the exact ones, which 8u n_hi |s| of delta covers. The margin is
+    16u (eps / 2 pi + n_hi (r + |s|) + 1), at least twice their sum, so it
+    also covers the rounding of delta itself.
+
+    Candidates go through arrays of at most a few `_SCAN_CHUNK`, so memory
+    stays flat however wide the window; a window of more than 2,000,000
+    candidates is refused with a ValueError.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w) & (w > 0.0)):
+    if w.ndim != 1 or w.size == 0 or not (np.isfinite(w) & (w > 0.0)).all():
         raise ValueError("qubit frequencies must be a non-empty 1-D array of "
                          "finite, positive values")
     if not all(math.isfinite(x) and x > 0.0 for x in (theta, rabi_nominal)):
@@ -251,36 +284,99 @@ def commensurate_pulse(w, theta: float, rabi_nominal: float,
         raise ValueError(
             f"commensuration scan of {n_hi - n_lo} candidates; narrow the "
             f"window or shorten the nominal pulse")
-    best = None  # (max residual, T, residual vector)
-    for start in range(n_lo, n_hi + 1, _SCAN_CHUNK):
-        n = np.arange(start, min(start + _SCAN_CHUNK, n_hi + 1), dtype=float)
-        T = TWO_PI * n / anchor
-        wT = w[:, np.newaxis] * T
-        residuals = wT - TWO_PI * np.round(wT / TWO_PI)
-        worst = np.max(np.abs(residuals), axis=0)
-        k = int(np.argmin(worst))
-        if best is None or worst[k] < best[0]:
-            best = (float(worst[k]), T[k], residuals[:, k])
+    eps = 4.0 * tolerance
+    while (steering := _steering(w, anchor, n_lo, n_hi, eps)) is not None:
+        best = _best_wrap(w, anchor, _near_wraps(n_lo, n_hi, *steering))
+        if best[0] <= eps:
+            break
+        eps = best[0]
+    else:  # no steering ion, or C(eps) as large as the window
+        best = _best_wrap(w, anchor, (
+            np.arange(start, min(start + _SCAN_CHUNK, n_hi + 1), dtype=float)
+            for start in range(n_lo, n_hi + 1, _SCAN_CHUNK)))
     if best is None or best[0] > tolerance:
         raise CommensurationError(best[0] if best else np.inf, tolerance)
     worst, T, residuals = best
-    cycles = np.asarray(np.round(w * T / TWO_PI), dtype=int)
-    cycles3 = tuple(int(c) for c in np.resize(cycles, 3))
+    cycles = (w * T / TWO_PI).round().astype(int).tolist()
+    cycles3 = tuple((cycles * 3)[:3])  # fewer than three ions repeat cyclically
     return CommensurationResult(T, theta / T, cycles3, tuple(residuals), worst)
+
+
+def _steering(w, anchor, n_lo: int, n_hi: int, eps: float):
+    """(|s|, delta) of the ion whose C(eps) (see `commensurate_pulse`) is
+    estimated smallest, or None when no estimate is below the window's size."""
+    size = n_hi - n_lo + 1
+    eps_cycles = eps / TWO_PI
+    best = (size, None)
+    for i, wi in enumerate(w):
+        if i == len(w) // 2:
+            continue
+        r = float(wi / anchor)
+        s = abs(r - round(r))  # exact: round(r) is 0 or within a factor 2 of r
+        if s == 0.0:
+            continue
+        delta = eps_cycles + 16.0 * _UNIT_ROUNDOFF * (eps_cycles + n_hi * (r + s) + 1.0)
+        estimate = size * (s + 2.0 * delta) + 2.0 * delta / s
+        if estimate < best[0]:
+            best = (estimate, (s, delta))
+    return best[1]
+
+
+def _near_wraps(n_lo: int, n_hi: int, s: float, delta: float):
+    """Yield, ascending and each once, every n in [n_lo, n_hi] with
+    |n s - m| <= delta for an integer m (s > 0), and for each m the n
+    nearest m / s, in arrays of at most a few `_SCAN_CHUNK`."""
+    # n per block: each n adds s values of m and 2 delta of candidates; a
+    # run cut by the block's ends adds up to 2 delta / s more
+    step = max(_SCAN_CHUNK, int(_SCAN_CHUNK / (
+        s + 2.0 * delta + 2.0 * delta / (s * _SCAN_CHUNK))))
+    reach = max(delta / s, 0.5)  # a run reaching half a step holds the n nearest m / s
+    for start in range(n_lo, n_hi + 1, step):
+        stop = min(start + step - 1, n_hi)
+        center = np.arange(math.floor(start * s - delta) - 1,
+                           math.ceil(stop * s + delta) + 2, dtype=float) / s
+        # a run outside the block shrinks to its nearest end
+        lo = np.ceil(center - reach).clip(start, stop)
+        hi = np.floor(center + reach).clip(start, stop)
+        np.maximum(lo[1:], hi[:-1] + 1.0, out=lo[1:])  # runs overlap once 2 delta > s
+        counts = (hi - lo + 1.0).clip(0.0).astype(int)
+        first = (lo - counts.cumsum() + counts).repeat(counts)
+        yield first + np.arange(first.size, dtype=float)
+
+
+def _best_wrap(w, anchor, chunks):
+    """(worst residual, T, residual vector) of the first wrap count of
+    ``chunks``, ascending float arrays, with the least worst residual, or None."""
+    best = None
+    for n in chunks:
+        T = TWO_PI * n / anchor
+        wT = w[:, np.newaxis] * T
+        residuals = wT - TWO_PI * (wT / TWO_PI).round()
+        worst = np.abs(residuals).max(axis=0)
+        k = int(worst.argmin())
+        if best is None or worst[k] < best[0]:
+            best = (float(worst[k]), T[k], residuals[:, k])
+    return best
 
 
 # -- schedule builders ------------------------------------------------------
 
+_COMPLEX = (complex, np.complexfloating)  # math.isfinite casts numpy's with a warning
+
+
 def _check_timing(rabi, t_m) -> None:
     """Refuse a Rabi frequency (rad/s) that is not finite and positive, or a
-    slot time t_m (s) that is not finite and non-negative; a non-number too."""
+    slot time t_m (s) that is not finite and non-negative; a non-number or a
+    complex too."""
     try:  # both values in one test first: a ProtocolConfig is built per run
-        if math.isfinite(rabi) and rabi > 0.0 and math.isfinite(t_m) and t_m >= 0.0:
+        if (not isinstance(rabi, _COMPLEX) and math.isfinite(rabi) and rabi > 0.0
+                and not isinstance(t_m, _COMPLEX) and math.isfinite(t_m) and t_m >= 0.0):
             return
-    except (TypeError, OverflowError):  # "x", None, a complex, an int beyond float
+    except (TypeError, OverflowError):  # "x", None, an int beyond float
         pass
     try:
-        rabi_ok = math.isfinite(rabi) and rabi > 0.0
+        rabi_ok = (not isinstance(rabi, _COMPLEX) and math.isfinite(rabi)
+                   and rabi > 0.0)
     except (TypeError, OverflowError):
         rabi_ok = False
     if not rabi_ok:

@@ -282,6 +282,34 @@ class TestCnotCommand:
         assert code == 0
         assert payload["max_commensuration_residual_rad"] < 1e-3
 
+    def test_lab_frame_output_equals_whole_window_scan(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # commensurate_pulse evaluates only candidate wrap counts; with no
+        # steering ion it scans the whole window, as it did before. Reports,
+        # schedule files and refusals must not tell the two apart.
+        config, schedule = tmp_path / "rabi.cfg", tmp_path / "cnot.sched"
+
+        def outputs():
+            runs = []
+            for preset in sorted(g.PRESETS):
+                for pair in ("1,2", "2,3"):
+                    for rabi_mhz in ("0.5", "1", "2"):
+                        config.write_text(f"rabi_2pi_mhz = {rabi_mhz}\n")
+                        schedule.unlink(missing_ok=True)
+                        run = run_cli(capsys, [
+                            "cnot", "--frame", "lab", "--preset", preset, "--pair", pair,
+                            "--config", str(config), "--format", "json",
+                            "--emit-schedule", str(schedule)])
+                        runs.append((*run, schedule.read_bytes() if schedule.exists()
+                                     else None))
+            return runs
+
+        searched = outputs()
+        monkeypatch.setattr("gradion.pulses._steering", lambda *args: None)
+        assert outputs() == searched
+        codes = [run[0] for run in searched]
+        assert 0 < codes.count(1) and codes.count(0) + codes.count(1) == len(codes)
+
     def test_bad_pair_fails(self, capsys):
         # a wrong count or a non-integer used to fail with Python's own
         # unpacking text; every case runs here, so the test keeps its one id

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 import gradion as g
@@ -391,6 +391,90 @@ class TestCommensuration:
         assert elapsed < 0.5
 
     @staticmethod
+    def fit_or_error(fit, *args):
+        try:
+            return fit(*args)
+        except (g.CommensurationError, ValueError) as err:
+            return err
+
+    @staticmethod
+    def fuzz_frequencies(rng, ions):
+        """Qubit frequencies around a random anchor: ratios near 1 (down to
+        1e-12 apart), near a harmonic, or anywhere in [0.05, 4]."""
+        anchor = g.TWO_PI * 10 ** rng.uniform(6, 10.5)
+        ratios = []
+        for _ in range(ions):
+            kind = rng.integers(3)
+            if kind == 0:
+                ratios.append(1.0 + rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -1))
+            elif kind == 1:
+                ratios.append(rng.integers(1, 4) + rng.choice([0.0, 1e-15, 1e-9, 1e-5]))
+            else:
+                ratios.append(rng.uniform(0.05, 4.0))
+        ratios[ions // 2] = 1.0
+        return anchor * np.array(ratios)
+
+    def test_candidate_search_equals_oracle_on_fuzzed_inputs(self, rng, monkeypatch):
+        passes = []
+        near_wraps = g.pulses._near_wraps
+        monkeypatch.setattr("gradion.pulses._near_wraps",
+                            lambda *args: passes.append(args) or near_wraps(*args))
+        cases = []
+        for ions in (1, 2, 3, 5):
+            for _ in range(16):
+                w = self.fuzz_frequencies(rng, ions)
+                # wrap counts up to 1e10 around the nominal length, in
+                # windows of at most ~2,000 candidates to keep the oracle cheap
+                n_mid = 10 ** rng.uniform(1, 10)
+                window = min(0.2, 1000 / n_mid) * rng.uniform(0.05, 1.0)
+                theta = rng.uniform(0.5, 4 * np.pi)
+                rabi = theta * w[ions // 2] / (g.TWO_PI * n_mid)
+                tolerance = rng.choice([0.0, 1e-4, 1e-3, 1e-2])
+                cases.append((w, theta, rabi, tolerance, window))
+        refusals = 0
+        for args in cases:
+            got = self.fit_or_error(g.commensurate_pulse, *args)
+            want = self.fit_or_error(commensuration_scan_oracle, *args)
+            assert type(got) is type(want), args
+            if isinstance(want, Exception):
+                refusals += 1
+                assert str(got) == str(want), args
+                assert getattr(got, "best_residual", None) == getattr(
+                    want, "best_residual", None), args
+                continue
+            for name in ("duration", "rabi", "cycles", "residuals", "max_residual"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert type(a) is type(b) and a == b, (name, args)
+            assert [type(r) for r in got.residuals] == [type(r) for r in want.residuals]
+            assert [type(c) for c in got.cycles] == [type(c) for c in want.cycles]
+        assert 0 < refusals < len(cases)
+        assert len(passes) > len(cases) // 2  # most fits searched candidates
+
+    @staticmethod
+    def oracle_worst(w, n):
+        """The worst wrapped residual of wrap count n, as the oracle computes it."""
+        T = g.TWO_PI * n / w[len(w) // 2]
+        return float(np.max(np.abs(w * T - g.TWO_PI * np.round(w * T / g.TWO_PI))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ions=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           n_lo=st.one_of(st.integers(1, 10**4), st.integers(1, 10**12)),
+           size=st.integers(1, 500), quantile=st.floats(0.0, 0.1))
+    def test_candidates_hold_every_n_at_or_under_the_bound(self, ions, seed, n_lo,
+                                                         size, quantile):
+        w = self.fuzz_frequencies(np.random.default_rng(seed), ions)
+        n_hi = n_lo + size - 1
+        worst = np.array([self.oracle_worst(w, n) for n in range(n_lo, n_hi + 1)])
+        # a bound that some n meet exactly, where float error would bite
+        eps = float(np.quantile(worst, quantile, method="inverted_cdf"))
+        steering = g.pulses._steering(w, w[ions // 2], n_lo, n_hi, eps)
+        assume(steering is not None)  # else the whole window is evaluated
+        candidates = np.concatenate(list(g.pulses._near_wraps(n_lo, n_hi, *steering)))
+        assert np.all(np.diff(candidates) > 0)
+        assert n_lo <= candidates[0] and candidates[-1] <= n_hi
+        assert set(np.flatnonzero(worst <= eps) + n_lo) <= set(candidates.astype(int))
+
+    @staticmethod
     def count_fits(monkeypatch):
         thetas = []
         fit = g.commensurate_pulse
@@ -427,14 +511,20 @@ class TestCommensuration:
 
 
 class TestPulseContext:
-    # a non-number used to raise a bare TypeError ("must be real number")
+    # a non-number used to raise a bare TypeError ("must be real number"); a
+    # numpy complex was kept, with a ComplexWarning, as math.isfinite casts it
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, "x", 1e6 + 0j, None,
+                                     pytest.param(np.complex128(1e6), id="numpy-complex128"),
+                                     pytest.param(np.complex64(1e6), id="numpy-complex64"),
                                      pytest.param(10 ** 400, id="int-beyond-float")])
     def test_bad_rabi_rejected(self, bad):
         with pytest.raises(ValueError, match="Rabi frequency must be finite and positive"):
             g.PulseContext(rabi=bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, None, "2.5e-6"])
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, -1.0, None, "2.5e-6",
+        pytest.param(np.complex128(2.5e-6), id="numpy-complex128"),
+        pytest.param(np.complex64(0.0), id="numpy-complex64")])
     def test_bad_t_m_rejected(self, bad):
         with pytest.raises(ValueError, match="t_m must be finite and non-negative"):
             g.PulseContext(t_m=bad)
@@ -543,9 +633,12 @@ class TestSpinState:
             g.SpinState(amps)
 
     @pytest.mark.parametrize("qubits", [([0, 0], [1, 0], [1, 0]), ([1, 0], [0, 0], [1, 1]),
-                                        ([1, 0], [1, 0], [np.nan, 1])])
+                                        ([1, 0], [1, 0], [np.nan, 1]),
+                                        ([np.inf, 0], [1, 0], [1, 0]),
+                                        ([1, 0], [1, 1j * np.inf], [1, 0])])
     def test_product_of_zero_or_nan_factor_rejected(self, qubits):
-        # used to divide by a zero norm: NaN amplitudes and a RuntimeWarning
+        # used to divide by a zero norm, or to multiply inf by 0: NaN amplitudes
+        # and a RuntimeWarning, which the test configuration turns into an error
         with pytest.raises(ValueError, match="finite, nonzero qubit states"):
             g.SpinState.product(*qubits)
 

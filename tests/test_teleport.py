@@ -283,13 +283,15 @@ class TestRunIdeal:
 
     # a non-number used to raise a bare TypeError ("must be real number")
     @pytest.mark.parametrize("mode", ["ideal", "scheduled", "integrated"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, "x", 1e6 + 0j, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, "x", 1e6 + 0j, None,
+                                     pytest.param(np.complex128(1e6), id="numpy-complex128")])
     def test_bad_rabi_rejected_at_construction(self, d4_chain, mode, bad):
         with pytest.raises(ValueError, match="Rabi frequency"):
             g.ProtocolConfig(1.0, 0.0, gate_mode=mode, couplings=d4_chain.couplings,
                              rabi=bad)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, None, "x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, None, "x",
+                                     pytest.param(np.complex128(2.5e-6), id="numpy-complex128")])
     def test_bad_t_m_rejected_at_construction(self, d4_chain, bad):
         with pytest.raises(ValueError, match="t_m"):
             g.ProtocolConfig(1.0, 0.0, gate_mode="scheduled",
