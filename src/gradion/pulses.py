@@ -81,12 +81,14 @@ class SpinState:
         if not np.isfinite(np.concatenate((a, b, c))).all():  # before inf * 0 makes NaN
             raise ValueError("product state needs finite, nonzero qubit states, "
                              "got a non-finite amplitude")
-        # the products kron(kron(a, b), c) forms, in its order, without its overhead
-        amps = ((a[:, None, None] * b[None, :, None]) * c[None, None, :]).ravel()
-        norm = np.linalg.norm(amps)
+        # the products kron(kron(a, b), c) forms, in its order, without its overhead;
+        # an overflow (inf, or NaN from inf * 0) is refused below, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = ((a[:, None, None] * b[None, :, None]) * c[None, None, :]).ravel()
+            norm = np.linalg.norm(amps)
         if not 0.0 < norm < math.inf:  # a zero factor, or products beyond float range
             raise ValueError(f"product state needs finite, nonzero qubit states, "
-                             f"got norm {float(norm)!r}")
+                             f"got norm {0.0 if norm == 0.0 else math.inf!r}")
         return cls(amps / norm, frame)
 
 

@@ -10,11 +10,13 @@ the d = 0 case with its one frequency as the only point of both frequency
 grids. Each stage is one `_sweep_stage` over (W1, W2, gradient) arrays: one
 elementwise Newton solve gives the outer displacement of every W1 (it
 depends on neither W2 nor the gradient), the closed-form modes and
-[K^-1]_12 of every (W1, W2) chain follow elementwise, and so do J and
-eps_max at every gradient, with no eigensolver and no matrix product. Only
-the winner is solved as a full chain, by `solve_chain`, for the reported
-numbers. J and eps_max do not depend on the field offset b0 or on eta;
-candidates take both from `FieldConfig`'s defaults.
+[K^-1]_12 and [K^-1]_13 of every (W1, W2) chain follow elementwise, and so
+do J and eps_max at every gradient, with no eigensolver and no matrix
+product. The stage reads the reported J, J13, eps_max, delta and h of its
+winner out of these arrays, so no chain is solved again: each value is the
+one `evaluate_candidate` gives at that point, bit for bit. J and eps_max do
+not depend on the field offset b0 or on eta; candidates take both from
+`FieldConfig`'s defaults.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ class SearchSpace:
         for name in ("w1", "w2", "gradient"):
             lo, hi, count = getattr(self, name)
             try:
-                count = operator.index(count)  # ints and numpy integers
+                count = 0 if isinstance(count, bool) else operator.index(count)  # no bool
             except TypeError:
                 count = 0  # 2.5, "3": refused below
             if not (0.0 < lo <= hi < math.inf) or count < 1:
                 raise ValueError(f"search grid {name} must be finite and positive, with "
                                  f"an integer count >= 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, (lo, hi, count))
         top = FIELD_RANGE["gradient"][1]
         if self.gradient[1] > top:
             raise ValueError(f"search grid gradient must stay within FieldConfig's range, "
@@ -135,25 +138,28 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
 
     Every value comes from the helpers `solve_equilibrium`, `normal_modes`
     and `compute_couplings` use, elementwise, so it is bit-identical to
-    `evaluate_candidate` at that point. Returns None when no point is
-    feasible, else the stage's best feasible point as ((-J, eps_max,
-    gradient), W1, W2): the least key, then the first in (W1, W2, gradient)
-    order. ``trace`` entries are (params, J, eps_max, feasible), in the same
-    order; an unstable chain yields one rejection entry
-    (params at the grid's lowest gradient, nan, nan, False) per gradient.
+    `evaluate_candidate` at that point; h = d + delta is `solve_equilibrium`'s
+    z[1] - z[0] exactly. Returns None when no point is feasible, else the
+    stage's winner as a `SearchResult` over the stage's evaluations, with no
+    trace: the largest feasible J, among its points the least eps_max, then
+    the least gradient, then the first in (W1, W2, gradient) order.
+    ``trace`` entries are (params, J, eps_max, feasible), in the same order;
+    an unstable chain yields one rejection entry (params at the grid's
+    lowest gradient, nan, nan, False) per gradient.
     """
     w1s, w2s, grads = _grid(space.w1), _grid(space.w2), _grid(space.gradient)
     delta, _steps = _outer_displacement(w1s, d, constants)
-    evals, D, kinv12, _kinv13 = _chain_modes(w1s[:, np.newaxis], w2s,
-                                             (d + delta)[:, np.newaxis], constants)
+    evals, D, kinv12, kinv13 = _chain_modes(w1s[:, np.newaxis], w2s,
+                                            (d + delta)[:, np.newaxis], constants)
     stable = np.all(evals > 0.0, axis=-1)  # normal_modes' stability check
     evals = np.where(stable[..., np.newaxis], evals, np.nan)
     dwdz = frequency_gradient(grads, constants)
     J = _ising(kinv12[..., np.newaxis], dwdz, constants)
     # mode axis first, so that the max over modes is a max of whole arrays
     nu = np.sqrt(np.moveaxis(evals, -1, 0) / constants.mass)[..., np.newaxis]
-    column_max = np.moveaxis(np.max(np.abs(D), axis=-2), -1, 0)[..., np.newaxis]
-    eps_max = np.max(column_max * _lamb_dicke_scale(nu, dwdz, constants), axis=0)
+    i1, i2, i3 = np.abs(np.moveaxis(D, (-2, -1), (0, 1)))[..., np.newaxis]  # |D| per ion
+    m1, m2, m3 = np.maximum(np.maximum(i1, i2), i3) * _lamb_dicke_scale(nu, dwdz, constants)
+    eps_max = np.maximum(np.maximum(m1, m2), m3)  # exact, and NaN-propagating as np.max
     feasible = eps_max < space.eps_ceiling
     if trace is not None:
         w1_list, w2_list, grad_list = w1s.tolist(), w2s.tolist(), grads.tolist()
@@ -166,14 +172,15 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
                               for grad in grad_list),
                              J[i, j].tolist(), eps_max[i, j].tolist(),
                              feasible[i, j].tolist()))
-    if not np.any(feasible):
+    top = np.flatnonzero(feasible & (J == np.max(J, where=feasible, initial=-np.inf)))
+    if not top.size:
         return None
-    pick = feasible & (J == J[feasible].max())
-    pick &= eps_max == eps_max[pick].min()
-    pick &= grads == grads[np.nonzero(pick)[-1]].min()
-    i, j, k = np.unravel_index(np.argmax(pick), pick.shape)
-    key = (-float(J[i, j, k]), float(eps_max[i, j, k]), float(grads[k]))
-    return key, float(w1s[i]), float(w2s[j])
+    first = min(top.tolist(), key=lambda n: (eps_max.flat[n], grads[n % grads.size]))
+    i, j, k = np.unravel_index(first, J.shape)
+    return SearchResult(CandidateParams(d, float(w1s[i]), float(w2s[j]), float(grads[k])),
+                        float(J[i, j, k]), float(_ising(kinv13[i, j], dwdz[k], constants)),
+                        float(eps_max[i, j, k]), float(delta[i]), d + float(delta[i]),
+                        J.size, True)
 
 
 def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
@@ -191,17 +198,14 @@ def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
         if best is None:
             break
         bests.append(best)
-        (_j, _eps, gradient), w1, w2 = best
+        w1, w2, gradient = best.params.w1, best.params.w2, best.params.gradient
         stage_space = replace(space, w1=_refined(space.w1, w1), w2=_refined(space.w2, w2),
                               gradient=_refined(space.gradient, gradient))
     trace = tuple(trace or ())
     if not bests:
         return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan, evaluations, False, trace)
-    (_j, _eps, gradient), w1, w2 = min(bests, key=lambda best: best[0])
-    chain = solve_chain(TrapLayout(d, w1, w2, constants), FieldConfig(gradient))
-    c, eq = chain.couplings, chain.equilibrium
-    return SearchResult(CandidateParams(d, w1, w2, gradient), c.J, c.J13, c.eps_max,
-                        eq.delta, eq.h, evaluations, True, trace)
+    best = min(bests, key=lambda best: (-best.J, best.eps_max, best.params.gradient))
+    return replace(best, evaluations=evaluations, trace=trace)
 
 
 def maximize_J_multitrap(d: float, space: SearchSpace | None = None,

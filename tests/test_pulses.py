@@ -642,6 +642,14 @@ class TestSpinState:
         with pytest.raises(ValueError, match="finite, nonzero qubit states"):
             g.SpinState.product(*qubits)
 
+    @pytest.mark.parametrize("qubits", [([1e200, 0], [1e200, 0], [1, 0]),
+                                        ([1e154, 1e154], [1e150, 1e150], [1, 1])])
+    def test_product_beyond_float_range_rejected(self, qubits):
+        # the product, or the squares in its norm, used to overflow with a
+        # RuntimeWarning, which the test configuration turns into an error
+        with pytest.raises(ValueError, match="nonzero qubit states, got norm inf"):
+            g.SpinState.product(*qubits)
+
 
 RABI = g.TWO_PI * 1e6
 

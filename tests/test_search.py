@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradion as g
 from gradion import search, trap
+from gradion.couplings import FIELD_RANGE
 from gradion.search import CandidateParams
 
 from util import sweep_search_oracle
@@ -149,6 +151,23 @@ class TestSearchSpaceValidation:
         plain = g.SearchSpace(gradient=(50.0, 150.0, 3))
         assert_same_search(g.maximize_J_linear(4e-6, space),
                            g.maximize_J_linear(4e-6, plain))
+
+    @pytest.mark.parametrize("axis", ["w1", "w2", "gradient"])
+    def test_numpy_integer_count_kept_as_int(self, axis):
+        lo, hi, _count = getattr(g.SearchSpace(), axis)
+        space = g.SearchSpace(**{axis: (lo, hi, np.int64(3))})
+        assert getattr(space, axis) == (lo, hi, 3) and type(getattr(space, axis)[2]) is int
+        result = g.maximize_J_multitrap(4e-6, space)
+        assert type(result.evaluations) is int
+
+    @pytest.mark.parametrize("axis", ["w1", "w2", "gradient"])
+    @pytest.mark.parametrize("count", [True, False, np.True_])
+    def test_refuses_bool_count(self, axis, count):
+        # True used to pass as a count of one
+        lo, hi, _count = getattr(g.SearchSpace(), axis)
+        with pytest.raises(ValueError, match=f"search grid {axis} must be finite and "
+                                             f"positive, with an integer count >= 1"):
+            g.SearchSpace(**{axis: (lo, hi, count)})
 
 
 class TestLinearSearch:
@@ -326,3 +345,48 @@ class TestRowArraySearchMatchesOracle:
         assert not result.feasible and result.params is None
         assert len(result.trace) == result.evaluations == 4 * 5 * 6
         assert all(np.isnan(J) and not feas for _p, J, _eps, feas in result.trace)
+
+
+@st.composite
+def search_draws(draw):
+    """A small random search: a layout and spacing, and a SearchSpace with
+    counts 1-6, a ceiling in [1e-3, 0.5] and gradients within FIELD_RANGE."""
+    def grid(lo_exp, hi_exp, top=np.inf):
+        lo = 10.0 ** draw(st.floats(lo_exp, hi_exp))
+        hi = min(lo * 10.0 ** draw(st.floats(0.0, 2.0)), top)
+        return (lo, hi, draw(st.integers(1, 6)))
+
+    mode = draw(st.sampled_from(["multi", "linear"]))
+    spacing = draw(st.floats(1e-6, 7e-6) if mode == "multi" else st.floats(2e-6, 6e-6))
+    top = FIELD_RANGE["gradient"][1]
+    space = g.SearchSpace(
+        w1=grid(5.5, 7.0), w2=grid(5.0, 7.0),
+        gradient=grid(*draw(st.sampled_from([(0.0, 3.5), (-3.0, 50.0)])), top=top),
+        eps_ceiling=draw(st.floats(1e-3, 0.5)))
+    return mode, spacing, space
+
+
+class TestReadOut:
+    """The winner's reported numbers come out of the stage arrays; they equal
+    what the per-point search and `evaluate_candidate` give, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=search_draws(), collect_trace=st.booleans())
+    def test_random_spaces_match_oracle(self, drawn, collect_trace):
+        mode, spacing, space = drawn
+        run = g.maximize_J_multitrap if mode == "multi" else g.maximize_J_linear
+        result = run(spacing, space, collect_trace=collect_trace)
+        assert_same_search(result, sweep_search_oracle(mode, spacing, space,
+                                                       collect_trace=collect_trace))
+
+    @pytest.mark.parametrize("run, spacing_um",
+                             [(g.maximize_J_multitrap, d) for d in range(1, 8)]
+                             + [(g.maximize_J_linear, h) for h in range(2, 7)])
+    def test_table_rows_equal_evaluate_candidate(self, run, spacing_um):
+        result = run(spacing_um * 1e-6)
+        evaluation = g.evaluate_candidate(result.params)
+        c, eq = evaluation.couplings, evaluation.equilibrium
+        for name, want in (("J", c.J), ("J13", c.J13), ("eps_max", c.eps_max),
+                           ("delta", eq.delta), ("h", eq.h)):
+            got = getattr(result, name)
+            assert type(got) is float and bits(got) == bits(want), name
