@@ -78,17 +78,15 @@ class SpinState:
     def product(cls, q1, q2, q3, frame: str = INTERACTION) -> "SpinState":
         """Build |q1> x |q2> x |q3> from three 2-component qubit states."""
         a, b, c = (np.asarray(q, complex) for q in (q1, q2, q3))
-        if not np.isfinite(np.concatenate((a, b, c))).all():  # before inf * 0 makes NaN
-            raise ValueError("product state needs finite, nonzero qubit states, "
-                             "got a non-finite amplitude")
         # the products kron(kron(a, b), c) forms, in its order, without its overhead;
-        # an overflow (inf, or NaN from inf * 0) is refused below, with no warning
+        # a non-finite factor or an overflow (inf, or NaN from inf * 0) gives a
+        # non-finite norm, refused below with no warning
         with np.errstate(over="ignore", invalid="ignore"):
             amps = ((a[:, None, None] * b[None, :, None]) * c[None, None, :]).ravel()
             norm = np.linalg.norm(amps)
-        if not 0.0 < norm < math.inf:  # a zero factor, or products beyond float range
-            raise ValueError(f"product state needs finite, nonzero qubit states, "
-                             f"got norm {0.0 if norm == 0.0 else math.inf!r}")
+        if not 0.0 < norm < math.inf:  # NaN fails too
+            raise ValueError("product state needs finite, nonzero qubit states, "
+                             "got a zero or non-finite norm")
         return cls(amps / norm, frame)
 
 

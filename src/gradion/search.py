@@ -120,34 +120,36 @@ def evaluate_candidate(params: CandidateParams,
                                modes=chain.modes, couplings=chain.couplings)
 
 
-def _grid(grid: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = grid
-    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-
-
 def _refined(grid: tuple[float, float, int], best: float) -> tuple[float, float, int]:
     lo, hi, count = grid
     step = (hi - lo) / max(count - 1, 1)
     return (max(lo, best - step), min(hi, best + step), count)
 
 
+def _rank(J, eps_max, gradient):
+    """The search's order of feasible points, best first: the largest J, then
+    the least eps_max, then the least gradient. ``min`` over it keeps the first
+    of equal points: in (W1, W2, gradient) order, or the first stage's."""
+    return -J, eps_max, gradient
+
+
 def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
                  trace: list | None):
     """Evaluate one stage: the chain of spacing ``d`` (0 in a linear trap) at
-    every (W1, W2, gradient) of ``space``'s grids, as arrays.
+    every (W1, W2, gradient) of ``space``'s grids, as arrays: each grid is
+    ``np.linspace(lo, hi, count)``, which is [lo] for a count of 1.
 
     Every value comes from the helpers `solve_equilibrium`, `normal_modes`
     and `compute_couplings` use, elementwise, so it is bit-identical to
     `evaluate_candidate` at that point; h = d + delta is `solve_equilibrium`'s
     z[1] - z[0] exactly. Returns None when no point is feasible, else the
-    stage's winner as a `SearchResult` over the stage's evaluations, with no
-    trace: the largest feasible J, among its points the least eps_max, then
-    the least gradient, then the first in (W1, W2, gradient) order.
-    ``trace`` entries are (params, J, eps_max, feasible), in the same order;
+    stage's winner by `_rank` as a `SearchResult` whose evaluations (the
+    stage's) and empty trace `_search` replaces with the whole search's.
+    ``trace`` entries are (params, J, eps_max, feasible), in (W1, W2, gradient) order;
     an unstable chain yields one rejection entry (params at the grid's
     lowest gradient, nan, nan, False) per gradient.
     """
-    w1s, w2s, grads = _grid(space.w1), _grid(space.w2), _grid(space.gradient)
+    w1s, w2s, grads = (np.linspace(*grid) for grid in (space.w1, space.w2, space.gradient))
     delta, _steps = _outer_displacement(w1s, d, constants)
     evals, D, kinv12, kinv13 = _chain_modes(w1s[:, np.newaxis], w2s,
                                             (d + delta)[:, np.newaxis], constants)
@@ -175,11 +177,11 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
     top = np.flatnonzero(feasible & (J == np.max(J, where=feasible, initial=-np.inf)))
     if not top.size:
         return None
-    first = min(top.tolist(), key=lambda n: (eps_max.flat[n], grads[n % grads.size]))
-    i, j, k = np.unravel_index(first, J.shape)
+    i, j, k = np.unravel_index(min(top.tolist(), key=lambda n: _rank(
+        J.flat[n], eps_max.flat[n], grads[n % grads.size])), J.shape)
     return SearchResult(CandidateParams(d, float(w1s[i]), float(w2s[j]), float(grads[k])),
                         float(J[i, j, k]), float(_ising(kinv13[i, j], dwdz[k], constants)),
-                        float(eps_max[i, j, k]), float(delta[i]), d + float(delta[i]),
+                        float(eps_max[i, j, k]), float(delta[i]), float(d + delta[i]),
                         J.size, True)
 
 
@@ -204,7 +206,7 @@ def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
     trace = tuple(trace or ())
     if not bests:
         return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan, evaluations, False, trace)
-    best = min(bests, key=lambda best: (-best.J, best.eps_max, best.params.gradient))
+    best = min(bests, key=lambda best: _rank(best.J, best.eps_max, best.params.gradient))
     return replace(best, evaluations=evaluations, trace=trace)
 
 

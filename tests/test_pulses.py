@@ -647,7 +647,7 @@ class TestSpinState:
     def test_product_beyond_float_range_rejected(self, qubits):
         # the product, or the squares in its norm, used to overflow with a
         # RuntimeWarning, which the test configuration turns into an error
-        with pytest.raises(ValueError, match="nonzero qubit states, got norm inf"):
+        with pytest.raises(ValueError, match="nonzero qubit states, got a zero or non-finite norm"):
             g.SpinState.product(*qubits)
 
 

@@ -379,11 +379,13 @@ class TestReadOut:
         assert_same_search(result, sweep_search_oracle(mode, spacing, space,
                                                        collect_trace=collect_trace))
 
+    @pytest.mark.parametrize("number", [float, np.float64])
     @pytest.mark.parametrize("run, spacing_um",
                              [(g.maximize_J_multitrap, d) for d in range(1, 8)]
                              + [(g.maximize_J_linear, h) for h in range(2, 7)])
-    def test_table_rows_equal_evaluate_candidate(self, run, spacing_um):
-        result = run(spacing_um * 1e-6)
+    def test_table_rows_equal_evaluate_candidate(self, run, spacing_um, number):
+        # a numpy spacing still gives Python floats
+        result = run(number(spacing_um * 1e-6))
         evaluation = g.evaluate_candidate(result.params)
         c, eq = evaluation.couplings, evaluation.equilibrium
         for name, want in (("J", c.J), ("J13", c.J13), ("eps_max", c.eps_max),
