@@ -1,12 +1,14 @@
 """Physical constants for the three-ion chain model.
 
 All values are SI. Frequencies are angular (rad/s) throughout the package;
-the reporting layer divides by 2*pi where a table wants cycles.
+the reporting layer divides by 2*pi where a table wants cycles. Every numeric
+input is vetted by `_finite_real` or `_integer`; each caller keeps its range test.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +31,23 @@ DEFAULT_MASS_AMU = 173.9389
 DEFAULT_HYPERFINE = TWO_PI * 12.6428e9  # rad/s
 
 
+def _finite_real(x) -> bool:
+    """Whether ``x`` is a finite Python or numpy int or float; False, with no
+    error or warning, for a bool, complex, str, None, array or an int beyond
+    the float range."""
+    if type(x) is float or isinstance(x, np.floating):  # the common case first
+        return math.isfinite(x)
+    if type(x) is int:  # compared exactly: math.isfinite overflows past the float range
+        return -sys.float_info.max <= x <= sys.float_info.max
+    return isinstance(x, np.integer)
+
+
+def _integer(x) -> int | None:
+    """``x`` as a Python int if a Python or numpy integer other than a bool,
+    else None: 2.0, "2" and True are refused."""
+    return x if type(x) is int else int(x) if isinstance(x, np.integer) else None
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Constant bundle threaded through every computation."""
@@ -46,8 +65,10 @@ class PhysicalConstants:
         for name in ("charge", "epsilon0", "hbar", "mu_b", "amu", "mass",
                      "g_factor", "hyperfine"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (_finite_real(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         mass_amu = self.mass / self.amu
         if not 100.0 <= mass_amu <= 300.0:
             raise ValueError(f"ion mass {mass_amu:.3f} u outside sanity range [100, 300]")

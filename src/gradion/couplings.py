@@ -31,15 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants, DEFAULT_CONSTANTS
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, _finite_real
 from .operators import Z_SIGNS
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, normal_modes,
                    solve_equilibrium)
-
-#: basis indices sorted by excitation number, then by position of the
-#: excited ion: 000, 100, 010, 001, 110, 101, 011, 111
-EXCITATION_ORDER = (0, 4, 2, 1, 6, 5, 3, 7)
-
 
 #: Values `FieldConfig` accepts, ends included: the gradient (T/m), the
 #: offset b0 (T) and eta. With them, every layout inside
@@ -65,10 +60,11 @@ class FieldConfig:
     def __post_init__(self) -> None:
         for name, (lo, hi) in FIELD_RANGE.items():
             value = getattr(self, name)
-            if not lo <= value <= hi:  # NaN fails too
+            if not (_finite_real(value) and lo <= float(value) <= hi):
                 least = "non-negative" if lo == 0.0 else f"at least {lo:g}"
                 raise ValueError(f"field {name} must be finite, {least} and at most {hi:g}, "
                                  f"got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -89,15 +85,10 @@ class CouplingSet:
 class SpinSpectrum:
     """Eigenenergies of the spin part of the chain Hamiltonian.
 
-    ``energies[b]`` belongs to |b1 b2 b3> with b = 4*b1 + 2*b2 + b3;
-    ``by_excitation`` re-lists them in EXCITATION_ORDER.
+    ``energies[b]`` belongs to |b1 b2 b3> with b = 4*b1 + 2*b2 + b3.
     """
 
     energies: np.ndarray  # rad/s, shape (8,)
-
-    @property
-    def by_excitation(self) -> np.ndarray:
-        return self.energies[list(EXCITATION_ORDER)]
 
 
 @dataclass(frozen=True)
@@ -137,9 +128,9 @@ def qubit_frequencies(field: FieldConfig, eq: EquilibriumSolution,
 def neighbor_resonance_shift(field: FieldConfig, h: float,
                              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Qubit frequency difference g mu_B B' h / hbar between neighboring ions."""
-    if not 0.0 < h < math.inf:
+    if not (_finite_real(h) and h > 0.0):
         raise ValueError(f"inter-ion distance must be finite and positive, got {h!r}")
-    return constants.g_factor * constants.mu_b * field.gradient * h / constants.hbar
+    return constants.g_factor * constants.mu_b * field.gradient * float(h) / constants.hbar
 
 
 def effective_lamb_dicke(modes: NormalModes, field: FieldConfig,
@@ -238,12 +229,10 @@ def heating_time_scaled(reference_time: float, reference_size: float,
     scales as (size / reference_size)^4. A result beyond the float range is
     refused.
     """
-    if not all(0.0 < x < math.inf for x in (reference_time, reference_size, size)):
+    if not all(_finite_real(x) and x > 0.0 for x in (reference_time, reference_size, size)):
         raise ValueError("times and sizes must be finite and positive")
-    try:
-        scaled = reference_time * (size / reference_size) ** 4
-    except OverflowError:  # a float power raises where a product gives inf
-        scaled = math.inf
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+        scaled = float(np.float64(reference_time) * (np.float64(size) / reference_size) ** 4)
     if not math.isfinite(scaled):
         raise ValueError("scaled heating time overflows the float range")
     return scaled

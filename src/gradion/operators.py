@@ -23,6 +23,8 @@ from itertools import product
 
 import numpy as np
 
+from .constants import _integer
+
 Z_SIGNS = np.array(list(product((-1.0, 1.0), repeat=3)))
 Z_SIGNS.flags.writeable = False
 
@@ -32,7 +34,7 @@ HADAMARD_2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 def embed(op: np.ndarray, ion: int) -> np.ndarray:
     """Promote a single-qubit operator to the 8x8 space acting on ``ion`` (1-3)."""
-    if ion not in (1, 2, 3):
+    if _integer(ion) not in (1, 2, 3):
         raise ValueError(f"ion index must be 1, 2, or 3, got {ion}")
     factors = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
     factors[ion - 1] = np.asarray(op, dtype=complex)
@@ -44,7 +46,7 @@ def embed(op: np.ndarray, ion: int) -> np.ndarray:
 def cnot_matrix(control: int, target: int) -> np.ndarray:
     """Canonical CNOT permutation: flips the target bit (1 << (3 - target)) when
     the control bit is 1."""
-    if control == target or control not in (1, 2, 3) or target not in (1, 2, 3):
+    if control == target or {_integer(control), _integer(target)} - {1, 2, 3}:
         raise ValueError("control and target must be distinct ions in 1..3")
     b = np.arange(8)
     U = np.zeros((8, 8), dtype=complex)
@@ -58,11 +60,13 @@ def hadamard_matrix(ion: int) -> np.ndarray:
 
 
 def reduced_density(state: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a pure state or 8x8 density matrix onto ``keep`` ions."""
+    """Partial trace of a pure state or 8x8 density matrix onto distinct ``keep`` ions."""
+    keep0 = sorted({_integer(i) - 1 for i in keep if _integer(i) in (1, 2, 3)})
+    if len(keep0) != len(keep):
+        raise ValueError(f"ion index must be 1, 2, or 3, each kept once, got {keep!r}")
     state = np.asarray(state, dtype=complex)
     rho = np.outer(state, state.conj()) if state.ndim == 1 else state
     tensor = rho.reshape(2, 2, 2, 2, 2, 2)
-    keep0 = sorted(i - 1 for i in keep)
     drop = [i for i in range(3) if i not in keep0]
     for axis in reversed(drop):
         tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import TWO_PI, _finite_real, _integer
 from .couplings import CouplingSet, _spin_diagonal
 from .operators import Z_SIGNS, embed
 
@@ -111,12 +111,11 @@ class Pulse:
     residuals: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.ion not in (1, 2, 3) or isinstance(self.ion, (bool, np.bool_, float)):
+        if _integer(self.ion) not in (1, 2, 3):
             raise ValueError(f"ion index must be 1, 2, or 3, got {self.ion!r}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)
-                and math.isfinite(self.rabi)):
+        if not (_finite_real(self.theta) and _finite_real(self.phi) and _finite_real(self.rabi)):
             raise ValueError("theta, phi and rabi must be finite")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+        if not (_finite_real(self.duration) and self.duration >= 0.0):
             raise ValueError("pulse duration must be finite and non-negative")
 
 
@@ -134,7 +133,7 @@ class PulseSlot:
             raise ValueError("a pulse slot needs at least one pulse")
         if len(set(ions)) != len(ions):
             raise ValueError("simultaneous pulses must target distinct ions")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+        if not (_finite_real(self.duration) and self.duration >= 0.0):
             raise ValueError("slot duration must be finite and non-negative")
 
 
@@ -146,7 +145,7 @@ class FreeEvolution:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+        if not (_finite_real(self.duration) and self.duration >= 0.0):
             raise ValueError("free evolution duration must be finite and non-negative")
 
 
@@ -199,7 +198,7 @@ def spin_energies(couplings: CouplingSet, frame: str) -> np.ndarray:
 
 def free_evolution(couplings: CouplingSet, t: float, frame: str = INTERACTION) -> np.ndarray:
     """Diagonal unitary exp(-i H0 t) of the spin Hamiltonian."""
-    if not 0.0 <= t < math.inf:
+    if not (_finite_real(t) and t >= 0.0):
         raise ValueError(f"evolution time must be finite and non-negative, got {t!r}")
     return np.diag(np.exp(-1j * spin_energies(couplings, frame) * t))
 
@@ -267,11 +266,12 @@ def commensurate_pulse(w, theta: float, rabi_nominal: float,
     if w.ndim != 1 or w.size == 0 or not (np.isfinite(w) & (w > 0.0)).all():
         raise ValueError("qubit frequencies must be a non-empty 1-D array of "
                          "finite, positive values")
-    if not all(math.isfinite(x) and x > 0.0 for x in (theta, rabi_nominal)):
+    if not all(_finite_real(x) and x > 0.0 for x in (theta, rabi_nominal)):
         raise ValueError("theta and nominal Rabi frequency must be finite and positive")
-    if not tolerance >= 0.0:
+    if not ((_finite_real(tolerance) or tolerance == math.inf and _finite_real(1.0 / tolerance))
+            and tolerance >= 0.0):  # inf accepts any fit; a complex inf's 1/x is complex
         raise ValueError(f"tolerance must be non-negative: {tolerance!r}")
-    if not 0.0 <= window < 1.0:
+    if not (_finite_real(window) and 0.0 <= window < 1.0):
         raise ValueError(f"window must be in [0, 1): {window!r}")
     t_nominal = theta / rabi_nominal
     anchor = w[len(w) // 2]
@@ -361,27 +361,17 @@ def _best_wrap(w, anchor, chunks):
 
 # -- schedule builders ------------------------------------------------------
 
-_COMPLEX = (complex, np.complexfloating)  # math.isfinite casts numpy's with a warning
-
-
-def _check_timing(rabi, t_m) -> None:
-    """Refuse a Rabi frequency (rad/s) that is not finite and positive, or a
-    slot time t_m (s) that is not finite and non-negative; a non-number or a
-    complex too."""
-    try:  # both values in one test first: a ProtocolConfig is built per run
-        if (not isinstance(rabi, _COMPLEX) and math.isfinite(rabi) and rabi > 0.0
-                and not isinstance(t_m, _COMPLEX) and math.isfinite(t_m) and t_m >= 0.0):
-            return
-    except (TypeError, OverflowError):  # "x", None, an int beyond float
-        pass
-    try:
-        rabi_ok = (not isinstance(rabi, _COMPLEX) and math.isfinite(rabi)
-                   and rabi > 0.0)
-    except (TypeError, OverflowError):
-        rabi_ok = False
-    if not rabi_ok:
+def _check_timing(config) -> None:
+    """Refuse ``config``'s rabi (rad/s) unless finite and positive, or its t_m (s)
+    unless finite and non-negative; store both as Python floats."""
+    rabi, t_m = config.rabi, config.t_m
+    if not (_finite_real(rabi) and rabi > 0.0):
         raise ValueError(f"Rabi frequency must be finite and positive: {rabi!r}")
-    raise ValueError(f"slot time t_m must be finite and non-negative: {t_m!r}")
+    if not (_finite_real(t_m) and t_m >= 0.0):
+        raise ValueError(f"slot time t_m must be finite and non-negative: {t_m!r}")
+    if not type(rabi) is type(t_m) is float:
+        object.__setattr__(config, "rabi", float(rabi))
+        object.__setattr__(config, "t_m", float(t_m))
 
 
 @dataclass(frozen=True)
@@ -405,7 +395,7 @@ class PulseContext:
     def __post_init__(self) -> None:
         if self.frame not in FRAMES:
             raise ValueError(f"unknown frame {self.frame!r}; choose from {FRAMES}")
-        _check_timing(self.rabi, self.t_m)
+        _check_timing(self)
         if self.commensurate and (self.frame != LAB or self.couplings is None):
             raise ValueError("pulse-length commensuration needs the lab frame and "
                              "the coupling set's qubit frequencies")
@@ -435,7 +425,7 @@ def composite_z_rotation(ion: int, sense: int = +1,
     Applied order: U(7 pi/2, s pi/2), U(pi/2, 0), U(pi/2, s pi/2) with
     s = sense. The product has no leftover global phase.
     """
-    if sense not in (+1, -1):
+    if _integer(sense) not in (+1, -1):
         raise ValueError("sense must be +1 or -1")
     tag = f"z{'+' if sense > 0 else '-'}45 ion{ion}"
     return ctx.schedule(ctx.slot(tag, (ion, 3.5 * np.pi, sense * np.pi / 2)),

@@ -21,13 +21,11 @@ not depend on the field offset b0 or on eta; candidates take both from
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import TWO_PI, PhysicalConstants, DEFAULT_CONSTANTS
+from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants, _finite_real, _integer
 from .couplings import (FIELD_RANGE, CouplingSet, FieldConfig, _ising, _lamb_dicke_scale,
                         frequency_gradient, solve_chain)
 from .trap import (EquilibriumSolution, NormalModes, TrapLayout, UnstableModesError,
@@ -51,19 +49,16 @@ class SearchSpace:
     def __post_init__(self) -> None:
         for name in ("w1", "w2", "gradient"):
             lo, hi, count = getattr(self, name)
-            try:
-                count = 0 if isinstance(count, bool) else operator.index(count)  # no bool
-            except TypeError:
-                count = 0  # 2.5, "3": refused below
-            if not (0.0 < lo <= hi < math.inf) or count < 1:
+            count = _integer(count) or 0  # 0 for a non-integer: refused below
+            if not (_finite_real(lo) and _finite_real(hi) and 0.0 < lo <= hi) or count < 1:
                 raise ValueError(f"search grid {name} must be finite and positive, with "
                                  f"an integer count >= 1, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, (lo, hi, count))
+            object.__setattr__(self, name, (float(lo), float(hi), count))
         top = FIELD_RANGE["gradient"][1]
         if self.gradient[1] > top:
             raise ValueError(f"search grid gradient must stay within FieldConfig's range, "
                              f"at most {top:g} T/m, got {self.gradient!r}")
-        if not 0.0 < self.eps_ceiling < 1.0:
+        if not (_finite_real(self.eps_ceiling) and 0.0 < self.eps_ceiling < 1.0):
             raise ValueError("eps ceiling must lie in (0, 1)")
 
 
@@ -219,9 +214,9 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
     smaller gradient. Iteration order is fixed, so identical spaces yield
     identical results.
     """
-    if not 0.0 < d < math.inf:
+    if not (_finite_real(d) and d > 0.0):
         raise ValueError(f"trap spacing d must be finite and positive, got {d!r}")
-    return _search(d, space or SearchSpace(), constants, collect_trace)
+    return _search(float(d), space or SearchSpace(), constants, collect_trace)
 
 
 def maximize_J_linear(h_target: float, space: SearchSpace | None = None,

@@ -38,13 +38,12 @@ step is rho <- F * (U rho U^dagger).
 from __future__ import annotations
 
 import json
-import math
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import _finite_real, _integer
 from .couplings import CouplingSet
 from .operators import Z_SIGNS, cnot_matrix, embed, hadamard_matrix, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
@@ -100,7 +99,7 @@ def _dephasing_rates(rates) -> tuple[float, float, float]:
         if array.dtype.kind not in "biuf" or array.shape not in ((), (3,)):
             raise ValueError(_RATES_MESSAGE)
         rates = tuple(float(r) for r in np.broadcast_to(array, (3,)))
-    if not all(math.isfinite(r) and r >= 0.0 for r in rates):
+    if not all(_finite_real(r) and r >= 0.0 for r in rates):
         raise ValueError(_RATES_MESSAGE)
     return rates
 
@@ -113,7 +112,7 @@ class ProtocolConfig:
     ``dephasing`` is a per-qubit phase-damping rate in 1/s (a real scalar
     applies to all three), stored as a tuple of three floats.
     ``couplings`` may be omitted in ideal mode only. ``rabi`` is finite and
-    positive, ``t_m`` finite and non-negative.
+    positive, ``t_m`` finite and non-negative, both stored as Python floats.
     """
 
     alpha: complex
@@ -130,11 +129,8 @@ class ProtocolConfig:
             raise ValueError(f"gate mode must be one of {GATE_MODES}")
         _check_amplitudes(self.alpha, self.beta)
         if self.seed is not None:
-            try:
-                seed = int(operator.index(self.seed))  # ints and numpy integers
-            except TypeError:
-                seed = -1  # 1.5, "3": refused below with the negative seeds
-            if seed < 0:
+            seed = _integer(self.seed)
+            if seed is None or seed < 0:
                 raise ValueError(f"seed must be a non-negative integer or None, "
                                  f"got {self.seed!r}")
             object.__setattr__(self, "seed", seed)
@@ -145,7 +141,7 @@ class ProtocolConfig:
                              "integrated gate mode")
         if self.gate_mode != "ideal" and self.couplings is None:
             raise ValueError(f"{self.gate_mode} mode requires a coupling set")
-        _check_timing(self.rabi, self.t_m)
+        _check_timing(self)
 
     @property
     def pulses(self) -> PulseContext:
@@ -279,7 +275,7 @@ _compiled_lock = threading.Lock()
 def _compile(config: ProtocolConfig) -> _Compiled:
     """The config's interaction-frame schedules, built on the first use of
     its (J, t_m, rabi). A refused build raises and is not kept."""
-    key = (float(config.couplings.J), float(config.t_m), float(config.rabi))
+    key = (float(config.couplings.J), config.t_m, config.rabi)
     compiled = _compiled.get(key)
     if compiled is None:
         ctx = config.pulses
@@ -326,7 +322,8 @@ class _Register:
     def measure(self, rng: np.random.Generator,
                 force: tuple[int, int] | None = None) -> tuple[tuple[int, int], float]:
         """Sample (or force) the ions-1,2 outcome, collapse onto it, return (bits, p)."""
-        if force is not None and force not in CORRECTIONS:
+        if force is not None and (type(force) is not tuple
+                                  or tuple(map(_integer, force)) not in CORRECTIONS):
             raise ValueError(f"forced outcome must be one of {tuple(CORRECTIONS)}, "
                              f"got {force!r}")
         weights = np.real(np.diagonal(self.state)) if self.mixed \

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants, DEFAULT_CONSTANTS
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, _finite_real
 
 
 class ConvergenceError(RuntimeError):
@@ -74,9 +74,12 @@ class TrapLayout:
 
     def __post_init__(self) -> None:
         d, w1, w2 = self.d, self.w1, self.w2
-        if not all(math.isfinite(x) for x in (d, w1, w2)):
+        if not (_finite_real(d) and _finite_real(w1) and _finite_real(w2)):
             raise ValueError(f"trap spacing and frequencies must be finite, got d = {d!r} m, "
                              f"W1 = {w1!r}, W2 = {w2!r} rad/s")
+        d, w1, w2 = float(d), float(w1), float(w2)
+        for name, value in (("d", d), ("w1", w1), ("w2", w2)):
+            object.__setattr__(self, name, value)
         if d < 0.0:
             raise ValueError(f"trap spacing d must be non-negative, got {d!r} m")
         if not (w1 > 0.0 and w2 > 0.0):
@@ -111,7 +114,7 @@ class TrapLayout:
     def multi_trap(cls, d: float, w1: float, w2: float,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "TrapLayout":
         """Micro-trap array: wells at -d, 0, +d with outer frequency w1 and center w2."""
-        if not d > 0.0:
+        if not (_finite_real(d) and d > 0.0):
             raise ValueError(f"multi-trap layout requires a finite, positive trap spacing d, "
                              f"got {d!r} m")
         return cls(d, w1, w2, constants)
@@ -320,19 +323,20 @@ def linear_spacing(w: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -
 
     The outer ions sit at +-(5/4)^(1/3) (e^2/(4 pi eps0 m W^2))^(1/3).
     """
-    if not (w > 0.0 and _stiff(constants.mass * w * w, 1.0)):
+    if not (_finite_real(w) and (x := float(w)) > 0.0 and _stiff(constants.mass * x * x, 1.0)):
         raise ValueError(f"trap frequency must be finite and positive, with a stiffness "
                          f"m W^2 inside {STIFFNESS_RANGE} N/m, got {w!r} rad/s")
-    return float(np.cbrt(1.25 * constants.coulomb / (constants.mass * w**2)))
+    return float(np.cbrt(1.25 * constants.coulomb / (constants.mass * x**2)))
 
 
 def linear_frequency_for_spacing(h: float,
                                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Trap frequency at which the three-ion chain spacing equals h."""
-    if not (h > 0.0 and _stiff(1.25 * constants.coulomb, h * h * h)):
+    if not (_finite_real(h) and (x := float(h)) > 0.0
+            and _stiff(1.25 * constants.coulomb, x * x * x)):
         raise ValueError(f"spacing must be finite and positive, with a stiffness "
                          f"m W^2 = 5 k / (4 h^3) inside {STIFFNESS_RANGE} N/m, got {h!r} m")
-    return float(np.sqrt(1.25 * constants.coulomb / (constants.mass * h**3)))
+    return float(np.sqrt(1.25 * constants.coulomb / (constants.mass * x**3)))
 
 
 def normal_modes(layout: TrapLayout, eq: EquilibriumSolution) -> NormalModes:

@@ -283,14 +283,6 @@ class TestSpinSpectrum:
                 oracle = np.array([spin_energy_oracle(c, b) for b in range(8)])
                 assert g.spin_spectrum(c).energies.tobytes() == oracle.tobytes()
 
-    def test_excitation_order_listing(self, rng):
-        couplings = random_couplings(rng)
-        spectrum = g.spin_spectrum(couplings)
-        listed = spectrum.by_excitation
-        assert listed[0] == spectrum.energies[0]
-        assert listed[1] == spectrum.energies[4]  # |100>
-        assert listed[-1] == spectrum.energies[7]
-
 
 class TestSignTable:
     def test_columns_are_pauli_z_diagonals(self):
