@@ -3,7 +3,7 @@
 One subcommand per invocation:
 
     modes      vibrational frequencies and mode vectors of a layout
-    couplings  full coupling report (J, J13, eps, qubit frequencies)
+    couplings  full coupling report (J, J13, eps_max, qubit frequencies)
     spectrum   conditional carrier-transition table
     table1     constrained search for the largest J at trap spacing d
     table3     constrained search for the largest J at ion spacing h
@@ -13,8 +13,10 @@ One subcommand per invocation:
 
 Physical parameters come from a preset (``--preset table1-d4``), a config
 file (``key = value`` lines, ``#`` comments), and command flags, in that
-order of increasing precedence. `presets.layout_field` turns the merged
-settings into a layout and field, and `couplings.solve_chain` solves them.
+order of increasing precedence; so do the `table1 --d` and `table3 --h`
+spacings (d_um, h_um), which default to 4 um. `presets.layout_field` turns
+the merged settings into a layout and field, and `couplings.solve_chain`
+solves them.
 `table1` and `table3` share one handler, which reports the search winner's
 design row as `couplings` builds it. `teleport` (always JSON) and `verify`
 take no ``--format``.
@@ -40,10 +42,10 @@ from .couplings import (Chain, FieldConfig, carrier_spectrum, neighbor_resonance
                         solve_chain)
 from .operators import cnot_matrix, deviation_up_to_phase
 from .presets import PRESETS, layout_field
-from .pulses import (FreeEvolution, INTERACTION, LAB, PulseContext, build_cnot,
+from .pulses import (FRAMES, FreeEvolution, LAB, PulseContext, build_cnot,
                      schedule_unitary, serialize_schedule)
 from .search import SearchSpace, maximize_J_linear, maximize_J_multitrap
-from .teleport import ProtocolConfig, run_teleport
+from .teleport import GATE_MODES, ProtocolConfig, run_teleport
 from .trap import TrapLayout
 from . import verify as verify_mod
 
@@ -312,6 +314,8 @@ def cmd_search(args) -> int:
     space = (SearchSpace(eps_ceiling=settings["eps_ceiling"])
              if "eps_ceiling" in settings else None)
     spacing = getattr(args, flag)
+    if spacing is None:
+        spacing = settings.get(f"{flag}_um", 4.0)
     result = search(spacing * 1e-6, space, constants)
     if not result.feasible:
         print("no feasible point found", file=sys.stderr)
@@ -332,7 +336,7 @@ def cmd_cnot(args) -> int:
     except ValueError:  # a wrong count or a non-integer
         raise ValueError(f"--pair takes control,target: two ion numbers such as 2,3, "
                          f"got {args.pair!r}") from None
-    frame = LAB if args.frame == "lab" else INTERACTION
+    frame = args.frame
     ctx = PulseContext(couplings, frame, commensurate=(frame == LAB),
                        **_pulse_timing(settings))
     schedule = build_cnot(control, target, ctx)
@@ -408,14 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 ("table3", "linear-trap", "ion")):
         p = sub.add_parser(name, help=f"largest-J search for a {trap} spacing")
         common(p)
-        p.add_argument(f"--{_SEARCHES[name][1]}", type=float, default=4.0,
-                       help=f"{spacing} spacing in um")
+        p.add_argument(f"--{_SEARCHES[name][1]}", type=float,
+                       help=f"{spacing} spacing in um (default: the preset's or "
+                            "config's, else 4)")
         p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("cnot")
     common(p)
     p.add_argument("--pair", default="2,3", help="control,target (adjacent ions)")
-    p.add_argument("--frame", choices=("interaction", "lab"), default="interaction")
+    p.add_argument("--frame", choices=FRAMES, default="interaction")
     p.add_argument("--emit-schedule", help="write the pulse schedule to this file")
     p.set_defaults(handler=cmd_cnot)
 
@@ -423,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=False)
     p.add_argument("--alpha", default="1", help="complex amplitude of |0>")
     p.add_argument("--beta", default="0", help="complex amplitude of |1>")
-    p.add_argument("--mode", choices=("ideal", "scheduled", "integrated"),
-                   default="ideal")
+    p.add_argument("--mode", choices=GATE_MODES, default="ideal")
     p.add_argument("--seed", type=int)
     p.add_argument("--dephasing-rate-hz", type=float, default=0.0,
                    help="phase-damping rate applied to every qubit (1/s)")

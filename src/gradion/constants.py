@@ -1,25 +1,25 @@
 """Physical constants for the three-ion chain model.
 
 All values are SI. Frequencies are angular (rad/s) throughout the package;
-the reporting layer divides by 2*pi where a table wants cycles. Every numeric
-input is vetted by `_finite_real` or `_integer`; each caller keeps its range test.
+the reporting layer divides by 2*pi where a table wants cycles. A run sets
+three values of the ion species, `PhysicalConstants`' fields mass, g_factor
+and hyperfine; hbar, mu_b, amu and the Coulomb constant are fixed class
+constants. Every numeric input is vetted by `_finite_real` (an int or float),
+`_finite_complex` (an int, float or complex) or `_integer`; each caller keeps
+its range test.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-ELEMENTARY_CHARGE = 1.602176634e-19  # C
-VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
-HBAR = 1.054571817e-34  # J s
-BOHR_MAGNETON = 9.2740100783e-24  # J/T
-ATOMIC_MASS = 1.66053906660e-27  # kg
 
 # Default ion mass. The bundled table1-*/table3-* reference rows are only
 # consistent with a mass near 174 u (the 174Yb value); the 171Yb+ isotope
@@ -42,6 +42,15 @@ def _finite_real(x) -> bool:
     return isinstance(x, np.integer)
 
 
+def _finite_complex(x) -> bool:
+    """Whether ``x`` is a finite Python or numpy int, float or complex; False,
+    as for `_finite_real`, for a bool, str, None, array or an int beyond the
+    float range."""
+    if type(x) is complex or isinstance(x, np.complexfloating):
+        return cmath.isfinite(x)
+    return _finite_real(x)
+
+
 def _integer(x) -> int | None:
     """``x`` as a Python int if a Python or numpy integer other than a bool,
     else None: 2.0, "2" and True are refused."""
@@ -50,20 +59,21 @@ def _integer(x) -> int | None:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Constant bundle threaded through every computation."""
+    """The ion species' values, threaded through every computation, and the
+    fixed constants as class attributes."""
 
-    charge: float = ELEMENTARY_CHARGE
-    epsilon0: float = VACUUM_PERMITTIVITY
-    hbar: float = HBAR
-    mu_b: float = BOHR_MAGNETON
-    amu: float = ATOMIC_MASS
-    mass: float = DEFAULT_MASS_AMU * ATOMIC_MASS  # kg
+    hbar: ClassVar[float] = 1.054571817e-34  # J s
+    mu_b: ClassVar[float] = 9.2740100783e-24  # Bohr magneton, J/T
+    amu: ClassVar[float] = 1.66053906660e-27  # kg
+    #: e^2 / (4 pi eps0) in J m, with e = 1.602176634e-19 C and eps0 = 8.8541878128e-12 F/m
+    coulomb: ClassVar[float] = 1.602176634e-19**2 / (4.0 * np.pi * 8.8541878128e-12)
+
+    mass: float = DEFAULT_MASS_AMU * amu  # kg
     g_factor: float = 2.0
     hyperfine: float = DEFAULT_HYPERFINE  # rad/s
 
     def __post_init__(self) -> None:
-        for name in ("charge", "epsilon0", "hbar", "mu_b", "amu", "mass",
-                     "g_factor", "hyperfine"):
+        for name in ("mass", "g_factor", "hyperfine"):
             value = getattr(self, name)
             if not (_finite_real(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
@@ -73,13 +83,10 @@ class PhysicalConstants:
         if not 100.0 <= mass_amu <= 300.0:
             raise ValueError(f"ion mass {mass_amu:.3f} u outside sanity range [100, 300]")
 
-    @property
-    def coulomb(self) -> float:
-        """e^2 / (4 pi eps0) in J m."""
-        return self.charge**2 / (4.0 * np.pi * self.epsilon0)
-
     def with_mass_amu(self, mass_amu: float) -> "PhysicalConstants":
-        return replace(self, mass=mass_amu * self.amu)
+        if not _finite_real(mass_amu):  # refused before the product can raise
+            raise ValueError("mass must be finite and strictly positive")
+        return replace(self, mass=float(mass_amu) * self.amu)  # a float32 in double
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

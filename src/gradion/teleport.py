@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _finite_real, _integer
+from .constants import _finite_complex, _finite_real, _integer
 from .couplings import CouplingSet
 from .operators import Z_SIGNS, cnot_matrix, embed, hadamard_matrix, reduced_density
 from .pulses import (INTERACTION, PulseContext, PulseSchedule, SpinState,
@@ -75,33 +75,23 @@ _FLIPS = 0.5 * (1.0 - Z_SIGNS[:, None, :] * Z_SIGNS[None, :, :])
 
 
 def _check_amplitudes(alpha: complex, beta: complex) -> None:
-    # written so that a NaN amplitude fails the test too
-    try:
-        normalized = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10
-    except TypeError:  # not a number: "x", None
-        normalized = False
-    if not normalized:
+    # magnitudes above 2 fail before they are squared, which could overflow
+    if not (_finite_complex(alpha) and _finite_complex(beta)
+            and abs(alpha) <= 2.0 and abs(beta) <= 2.0
+            and abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10):
         raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
 
 
-_RATES_MESSAGE = "dephasing needs three finite, non-negative rates"
-
-
 def _dephasing_rates(rates) -> tuple[float, float, float]:
-    """Three finite, non-negative rates from a real scalar (0-d arrays too)
-    or a length-3 sequence; a tuple of three floats is taken as it is."""
-    if not (type(rates) is tuple and len(rates) == 3
-            and all(type(r) is float for r in rates)):
-        try:
-            array = np.asarray(rates)
-        except ValueError:  # a ragged sequence
-            raise ValueError(_RATES_MESSAGE) from None
-        if array.dtype.kind not in "biuf" or array.shape not in ((), (3,)):
-            raise ValueError(_RATES_MESSAGE)
-        rates = tuple(float(r) for r in np.broadcast_to(array, (3,)))
-    if not all(_finite_real(r) and r >= 0.0 for r in rates):
-        raise ValueError(_RATES_MESSAGE)
-    return rates
+    """Three finite, non-negative rates as floats, from a real scalar (0-d
+    arrays too), or a list, tuple or array of three."""
+    if isinstance(rates, np.ndarray):
+        rates = rates.tolist()
+    if not isinstance(rates, (list, tuple)):
+        rates = (rates,) * 3
+    if not (len(rates) == 3 and all(_finite_real(r) and r >= 0.0 for r in rates)):
+        raise ValueError("dephasing needs three finite, non-negative rates")
+    return tuple(map(float, rates))
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,8 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants, _finite_real
 
 
 class ConvergenceError(RuntimeError):
-    """Equilibrium solver failed to reach the gradient tolerance.
-
-    Never raised now that `solve_equilibrium` is closed-form; kept while
-    the benchmark's tracer (perfbench/tracing.py) still imports it.
-    """
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (last residual {residual:.3e} N after {iterations} iterations)")
-        self.residual = residual
-        self.iterations = iterations
+    """Never raised: `solve_equilibrium` is closed-form. Kept only because
+    the benchmark's tracer (perfbench/tracing.py) names it."""
 
 
 class UnstableModesError(RuntimeError):

@@ -182,6 +182,39 @@ class TestSearchCommands:
         assert float(row["eps_max"]) < 0.05
 
 
+class TestSearchSpacing:
+    """The search spacing comes from the preset, then the config, then the
+    flag, each overriding the one before; 4 um only when none gives one."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_preset_spacing(self, capsys, fmt):
+        for command, flag, preset in (("table1", "--d", "table1-d2"),
+                                      ("table3", "--h", "table3-h3")):
+            given = run_cli(capsys, [command, "--preset", preset, "--format", fmt])
+            assert given == run_cli(capsys, [command, flag, preset[-1], "--format", fmt])
+            assert given != run_cli(capsys, [command, flag, "4", "--format", fmt])
+
+    def test_config_spacing(self, capsys, tmp_path):
+        config = tmp_path / "spacing.cfg"
+        config.write_text("preset = table1-d2\nh_um = 3\n")
+        for command, flag, spacing in (("table1", "--d", "2"), ("table3", "--h", "3")):
+            assert run_cli(capsys, [command, "--config", str(config)]) == \
+                run_cli(capsys, [command, flag, spacing])
+
+    def test_flag_beats_config(self, capsys, tmp_path):
+        config = tmp_path / "spacing.cfg"
+        config.write_text("d_um = 5\nh_um = 5\n")
+        for command, flag in (("table1", "--d"), ("table3", "--h")):
+            assert run_cli(capsys, [command, "--config", str(config), flag, "2.5"]) == \
+                run_cli(capsys, [command, flag, "2.5"])
+
+    def test_default_spacing_is_4_um(self, capsys, tmp_path):
+        config = tmp_path / "ceiling.cfg"
+        config.write_text("preset = table3-h6\neps_ceiling = 0.05\n")
+        assert run_cli(capsys, ["table1", "--config", str(config), "--format", "json"]) \
+            == (0, search_report("table1", 4.0)["json"], "")
+
+
 def search_report(command, spacing):
     """The text, json and csv reports of a search command, built here from
     the library's `SearchResult`, with the columns and unit conversions of

@@ -1,6 +1,7 @@
-"""Every numeric input of the public API goes through one of two checks:
-a finite real number, or an integer that is not a bool. Each site refuses
-anything else with its own ValueError, and never with a warning."""
+"""Every numeric input of the public API goes through one of three checks:
+a finite real number, a finite complex number (the teleported amplitudes),
+or an integer that is not a bool. Each site refuses anything else with its
+own ValueError, and never with a warning."""
 
 import warnings
 
@@ -14,6 +15,13 @@ NOT_REAL = {repr(x): x for x in ("x", None, True, np.bool_(True), 1 + 0j, np.com
                                   np.nan, np.inf, -np.inf)}
 NOT_REAL["10**400"] = 10**400  # an int beyond the float range
 NOT_INTEGER = {repr(x): x for x in (2.0, np.float64(2), "2", True, None)}
+#: not a finite Python or numpy int, float or complex
+NOT_NUMBER = {repr(x): x for x in ("x", None, True, np.bool_(True), np.nan, np.inf,
+                                    complex(np.nan, 0.0), complex(1.0, np.inf),
+                                    np.complex128(complex(0.0, np.nan)),
+                                    np.complex64(complex(-np.inf, 0.0)))}
+NOT_NUMBER["10**400"] = 10**400
+NOT_NUMBER["array(1.0)"] = np.array(1.0)  # a 0-d array, not a number
 
 W = g.TWO_PI * np.array([12.99e9, 13.0e9, 13.017e9])
 PULSE = g.Pulse(1, 1.0, 0.0, 1.0, 1.0)
@@ -23,6 +31,10 @@ RHO = np.eye(8) / 8.0
 
 def _couplings():
     return g.solve_chain(*g.preset_layout_field("table1-d4")).couplings
+
+
+def _dephased(rates):
+    return g.ProtocolConfig(1.0, 0.0, "scheduled", couplings=_couplings(), dephasing=rates)
 
 
 def _spacing_search(d):
@@ -36,6 +48,8 @@ REAL_SITES = [
      "g_factor must be finite and strictly positive", 2),
     ("PhysicalConstants.hyperfine", lambda x: g.PhysicalConstants(hyperfine=x),
      "hyperfine must be finite and strictly positive", 80_000_000_000),
+    ("PhysicalConstants.with_mass_amu", g.DEFAULT_CONSTANTS.with_mass_amu,
+     "mass must be finite and strictly positive", 174),
     ("TrapLayout.d", lambda x: g.TrapLayout(x, 1e7, 1e7),
      "trap spacing and frequencies must be finite", 0),
     ("TrapLayout.w1", lambda x: g.TrapLayout(4e-6, x, 1e7),
@@ -106,6 +120,19 @@ REAL_SITES = [
      "Rabi frequency must be finite and positive", 6_000_000),
     ("ProtocolConfig.t_m", lambda x: g.ProtocolConfig(1.0, 0.0, t_m=x),
      "slot time t_m must be finite and non-negative", 0),
+    ("ProtocolConfig.dephasing", _dephased, "dephasing needs three finite, non-negative rates",
+     30),
+    ("ProtocolConfig.dephasing element", lambda x: _dephased([0.0, x, 0.0]),
+     "dephasing needs three finite, non-negative rates", 30),
+]
+
+#: (site, call taking an amplitude of magnitude 1 under test, the site's message)
+AMPLITUDE_SITES = [
+    ("ProtocolConfig.alpha", lambda x: g.ProtocolConfig(x, 0.0),
+     "input amplitudes must satisfy"),
+    ("ProtocolConfig.beta", lambda x: g.ProtocolConfig(0.0, x),
+     "input amplitudes must satisfy"),
+    ("prepare_initial", lambda x: g.prepare_initial(x, 0.0), "input amplitudes must satisfy"),
 ]
 
 #: (site, call taking the value under test, the site's message, a valid value)
@@ -134,7 +161,7 @@ INTEGER_SITES = [
 
 def _cases(sites, values, skip=lambda site, value: False):
     return [pytest.param(call, message, value, id=f"{site}-{label}")
-            for site, call, message, _good in sites for label, value in values.items()
+            for site, call, message, *_good in sites for label, value in values.items()
             if not skip(site, value)]
 
 
@@ -182,6 +209,52 @@ def test_integer_site_accepts_numpy_integers(site, call, good):
             call(value)
 
 
+@pytest.mark.parametrize("call, message, value", _cases(AMPLITUDE_SITES, NOT_NUMBER))
+def test_amplitude_site_refuses_non_number(call, message, value):
+    _refused(call, value, message)
+
+
+@pytest.mark.parametrize("call, message, value", _cases(
+    AMPLITUDE_SITES, {repr(x): x for x in (1e200, np.float64(-1e200), np.complex128(1e200j),
+                                           2.0, 0.5)}))
+def test_amplitude_site_refuses_unnormalized(call, message, value):
+    # magnitudes whose square overflows are refused too, with no error or warning
+    _refused(call, value, message)
+
+
+@pytest.mark.parametrize("site, call", [(site, call) for site, call, _ in AMPLITUDE_SITES],
+                         ids=[site for site, *_ in AMPLITUDE_SITES])
+def test_amplitude_site_accepts_numbers(site, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (1, -1.0, 1j, complex(0.6, 0.8), np.complex128(1j), np.complex64(1),
+                      np.clongdouble(-1j), np.float64(1), np.float32(-1), np.int64(1),
+                      np.int8(-1)):
+            call(value)
+
+
+@pytest.mark.parametrize("rates", [
+    np.array([True, False, True]), np.array(True), [1.0, 2.0], (1.0, 2.0, 3.0, 4.0),
+    np.zeros(1), np.zeros((3, 1)), [[1.0, 2.0, 3.0]], np.array([1.0, 2.0, 3.0]) * 1j, "abc",
+    {1.0, 2.0, 3.0}],
+    ids=["bool array", "0-d bool array", "two", "four", "shape (1,)", "shape (3, 1)",
+         "nested", "complex array", "str", "set"])
+def test_dephasing_refuses_non_rates(rates):
+    _refused(_dephased, rates, "dephasing needs three finite, non-negative rates")
+
+
+@pytest.mark.parametrize("rates", [
+    30, 30.0, np.float32(30), np.array(30.0), [30, 30.0, 30],
+    (np.int64(30), np.float64(30), 30.0), np.full(3, 30.0), np.full(3, 30, dtype=np.int8)],
+    ids=["int", "float", "float32", "0-d array", "list", "numpy tuple", "float array",
+         "int8 array"])
+def test_dephasing_stored_as_three_floats(rates):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stored = _dephased(rates).dephasing
+    assert stored == (30.0, 30.0, 30.0) and all(type(r) is float for r in stored)
+
+
 def test_forced_outcome_must_be_a_pair_tuple():
     for force in ([0, 1], (0,), (0, 1, 0), "01"):
         with pytest.raises(ValueError, match="forced outcome must be one of"):
@@ -197,6 +270,11 @@ def test_reduced_density_refuses_repeated_ion():
 class TestStoredAsFloat:
     """A numpy float input is stored as a Python float, so float32 and float64
     inputs give what the same value as a Python float gives."""
+
+    def test_mass(self):
+        for mass_amu in (np.float32(173.9389), np.float64(173.9389)):
+            assert g.DEFAULT_CONSTANTS.with_mass_amu(mass_amu) == \
+                g.DEFAULT_CONSTANTS.with_mass_amu(float(mass_amu))
 
     def test_layout_and_field(self):
         d, w1, w2, gradient = np.float32(4e-6), np.float32(1.2e7), np.float32(9e6), \

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -125,10 +126,10 @@ class TestSolveEquilibrium:
     def test_nonconvergence_is_diagnostic(self, monkeypatch):
         monkeypatch.setattr(util, "MAX_NEWTON_ITERATIONS", 1)
         layout = make_multi()
-        with pytest.raises(trap.ConvergenceError) as err:
+        with pytest.raises(util.OracleConvergenceError) as err:
             newton_equilibrium_oracle(layout.centers, layout.centers,
                                       layout.frequencies, layout.constants)
-        assert err.value.residual > 0.0
+        assert err.value.residual > 0.0 and err.value.iterations == 1
         assert "residual" in str(err.value)
 
     def test_delta_within_8_ulp_of_exact_root(self):
@@ -302,8 +303,22 @@ class TestConstantsValidation:
                                       "mass", "g_factor", "hyperfine"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_rejected(self, name, bad):
-        with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
-            g.PhysicalConstants(**{name: bad})
+        if name in ("mass", "g_factor", "hyperfine"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+                g.PhysicalConstants(**{name: bad})
+        else:  # a fixed constant: no value of it can be set
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                g.PhysicalConstants(**{name: bad})
+
+    def test_fixed_constants(self):
+        c = g.PhysicalConstants()
+        assert [f.name for f in dataclasses.fields(c)] == ["mass", "g_factor", "hyperfine"]
+        # e^2 / (4 pi eps0) as the former per-access property computed it
+        assert c.coulomb == 2.3070775523417355e-28
+        assert (c.hbar, c.mu_b, c.amu) == (1.054571817e-34, 9.2740100783e-24,
+                                           1.66053906660e-27)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.hbar = 1.0
 
 
 class TestLayoutValidation:

@@ -11,7 +11,7 @@ import gradion as g
 from gradion.operators import Z_SIGNS, embed
 from gradion.pulses import free_evolution, single_qubit_rotation, spin_energies
 from gradion.search import CandidateParams
-from gradion.trap import ConvergenceError, UnstableModesError, _gradient, _hessian, _potential
+from gradion.trap import UnstableModesError, _gradient, _hessian, _potential
 
 I2 = np.eye(2, dtype=complex)
 SZ2 = np.array([[-1, 0], [0, 1]], dtype=complex)  # sigma_z |1> = +|1>
@@ -283,6 +283,15 @@ RELATIVE_GRADIENT_TOLERANCE = 1e-9
 MAX_NEWTON_ITERATIONS = 200
 
 
+class OracleConvergenceError(RuntimeError):
+    """`newton_equilibrium_oracle` failed to reach the gradient tolerance."""
+
+    def __init__(self, message: str, residual: float, iterations: int):
+        super().__init__(f"{message} (last residual {residual:.3e} N after {iterations} iterations)")
+        self.residual = residual
+        self.iterations = iterations
+
+
 def newton_equilibrium_oracle(guess, centers, freqs, constants):
     """Damped Newton descent on the chain potential.
 
@@ -319,7 +328,7 @@ def newton_equilibrium_oracle(guess, centers, freqs, constants):
     residual = float(np.max(np.abs(grad)))
     if residual < tolerance:
         return z, residual, iteration
-    raise ConvergenceError("equilibrium solver did not converge", residual, iteration)
+    raise OracleConvergenceError("equilibrium solver did not converge", residual, iteration)
 
 
 def oracle_positions(layout):
