@@ -14,9 +14,10 @@ depends on neither W2 nor the gradient), the closed-form modes and
 do J and eps_max at every gradient, with no eigensolver and no matrix
 product. The stage reads the reported J, J13, eps_max, delta and h of its
 winner out of these arrays, so no chain is solved again: each value is the
-one `evaluate_candidate` gives at that point, bit for bit. J and eps_max do
-not depend on the field offset b0 or on eta; candidates take both from
-`FieldConfig`'s defaults.
+one `evaluate_candidate` gives at that point, bit for bit. The Lamb-Dicke
+bound is built one mode at a time, so no array of a stage is larger than
+one (W1, W2, gradient) grid. J and eps_max do not depend on the field
+offset b0 or on eta; candidates take both from `FieldConfig`'s defaults.
 """
 
 from __future__ import annotations
@@ -152,10 +153,12 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
     evals = np.where(stable[..., np.newaxis], evals, np.nan)
     dwdz = frequency_gradient(grads, constants)
     J = _ising(kinv12[..., np.newaxis], dwdz, constants)
-    # mode axis first, so that the max over modes is a max of whole arrays
-    nu = np.sqrt(np.moveaxis(evals, -1, 0) / constants.mass)[..., np.newaxis]
-    i1, i2, i3 = np.abs(np.moveaxis(D, (-2, -1), (0, 1)))[..., np.newaxis]  # |D| per ion
-    m1, m2, m3 = np.maximum(np.maximum(i1, i2), i3) * _lamb_dicke_scale(nu, dwdz, constants)
+    # mode axis first: each mode's bound is one (W1, W2, gradient) array, and
+    # the max over modes a max of whole arrays
+    nu = np.sqrt(evals.transpose(2, 0, 1) / constants.mass)[..., np.newaxis]
+    i1, i2, i3 = np.abs(D.transpose(2, 3, 0, 1))[..., np.newaxis]  # |D| per ion
+    top = np.maximum(np.maximum(i1, i2), i3)
+    m1, m2, m3 = (top[l] * _lamb_dicke_scale(nu[l], dwdz, constants) for l in range(3))
     eps_max = np.maximum(np.maximum(m1, m2), m3)  # exact, and NaN-propagating as np.max
     feasible = eps_max < space.eps_ceiling
     if trace is not None:

@@ -74,12 +74,19 @@ IDEAL_STAGES = {
 _FLIPS = 0.5 * (1.0 - Z_SIGNS[:, None, :] * Z_SIGNS[None, :, :])
 
 
-def _check_amplitudes(alpha: complex, beta: complex) -> None:
+def _check_amplitudes(alpha: complex, beta: complex, tolerance: float = 1e-10) -> None:
     # magnitudes above 2 fail before they are squared, which could overflow
     if not (_finite_complex(alpha) and _finite_complex(beta)
             and abs(alpha) <= 2.0 and abs(beta) <= 2.0
-            and abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10):
-        raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+            and abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= tolerance):
+        # the norm is summed at the precision of the narrowest input, so a
+        # numpy amplitude narrower than float64 (float32, complex64) may miss
+        # 1 by 4 of its machine epsilon (rounding alone leaves up to 1.5)
+        narrow = max((4.0 * float(np.finfo(a).eps) for a in (alpha, beta)
+                      if isinstance(a, np.inexact)), default=0.0)
+        if narrow <= tolerance:
+            raise ValueError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+        _check_amplitudes(alpha, beta, narrow)
 
 
 def _dephasing_rates(rates) -> tuple[float, float, float]:

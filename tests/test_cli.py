@@ -270,6 +270,27 @@ class TestSearchReports:
         assert (code, out, err) == (1, "", "no feasible point found\n")
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGoldenSearchReports:
+    """Each search report, byte for byte, against the file written by an
+    earlier version of the search. `search_report` above builds its expected
+    values from the same helpers the search uses, so it cannot see a change
+    to one of them; these files can."""
+
+    @pytest.mark.parametrize("command, flag, spacing",
+                             [("table1", "d", d) for d in range(1, 8)]
+                             + [("table3", "h", h) for h in range(2, 7)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_equals_golden_file(self, capsys, command, flag, spacing, fmt):
+        with open(os.path.join(GOLDEN, f"{command}_{flag}{spacing}.{fmt}"), "rb") as f:
+            golden = f.read().decode()
+        code, out, err = run_cli(capsys, [command, f"--{flag}", str(spacing),
+                                          "--format", fmt])
+        assert (code, out, err) == (0, golden, "")
+
+
 class TestPresetReproduction:
     @pytest.mark.parametrize("name", sorted(g.PRESETS))
     def test_preset_rederives_reference_row(self, capsys, name):

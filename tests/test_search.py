@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -392,3 +393,22 @@ class TestReadOut:
                            ("delta", eq.delta), ("h", eq.h)):
             got = getattr(result, name)
             assert type(got) is float and bits(got) == bits(want), name
+
+
+class TestStageMemory:
+    def test_stage_peak_stays_under_eight_grid_arrays(self):
+        # One default-space stage allocates its Lamb-Dicke bound one mode at a
+        # time, so no temporary is larger than one (W1, W2, gradient) float
+        # array (16 x 16 x 30 x 8 B = 60 KiB). With numpy 2.4.6 its peak is
+        # 426 KiB, 7.1 such arrays; building the bound as (3, W1, W2, gradient)
+        # arrays instead peaks at 553 KiB, 9.2, and fails this test.
+        space = g.SearchSpace()
+        grid = space.w1[2] * space.w2[2] * space.gradient[2] * 8
+        search._sweep_stage(4e-6, space, g.DEFAULT_CONSTANTS, None)  # caches warm
+        tracemalloc.start()
+        try:
+            search._sweep_stage(4e-6, space, g.DEFAULT_CONSTANTS, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid, f"{peak / 1024:.0f} KiB"
