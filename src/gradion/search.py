@@ -9,10 +9,12 @@ serves both layouts: a micro-trap array at spacing d, and the linear trap as
 the d = 0 case with its one frequency as the only point of both frequency
 grids. Each stage is one `_sweep_stage` over (W1, W2, gradient) arrays: one
 elementwise Newton solve gives the outer displacement of every W1 (it
-depends on neither W2 nor the gradient), the closed-form modes and
-[K^-1]_12 and [K^-1]_13 of every (W1, W2) chain follow elementwise, and so
-do J and eps_max at every gradient, with no eigensolver and no matrix
-product. The stage reads the reported J, J13, eps_max, delta and h of its
+depends on neither W2 nor the gradient), the closed-form mode frequencies,
+half-column values and [K^-1]_12 and [K^-1]_13 of every (W1, W2) chain
+follow elementwise, and so do J and eps_max at every gradient, with no
+eigensolver and no matrix product. A stage builds no mode matrix: it reads
+each mode's largest |D| from the half-column values `trap._chain_modes`
+returns. The stage reads the reported J, J13, eps_max, delta and h of its
 winner out of these arrays, so no chain is solved again: each value is the
 one `evaluate_candidate` gives at that point, bit for bit. The Lamb-Dicke
 bound is built one mode at a time, so no array of a stage is larger than
@@ -22,6 +24,7 @@ offset b0 or on eta; candidates take both from `FieldConfig`'s defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,7 +141,11 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
     Every value comes from the helpers `solve_equilibrium`, `normal_modes`
     and `compute_couplings` use, elementwise, so it is bit-identical to
     `evaluate_candidate` at that point; h = d + delta is `solve_equilibrium`'s
-    z[1] - z[0] exactly. Returns None when no point is feasible, else the
+    z[1] - z[0] exactly. Each mode's largest |D_il| comes straight from the
+    closed-form half columns, with no mode matrix: max(centre/sqrt2, side)
+    and max(side/sqrt2, centre) for the symmetric modes, 1/sqrt2 for the
+    antisymmetric one; each equals the largest |entry| of that column of
+    `normal_modes`' D. Returns None when no point is feasible, else the
     stage's winner by `_rank` as a `SearchResult` whose evaluations (the
     stage's) and empty trace `_search` replaces with the whole search's.
     ``trace`` entries are (params, J, eps_max, feasible), in (W1, W2, gradient) order;
@@ -147,8 +154,8 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
     """
     w1s, w2s, grads = (np.linspace(*grid) for grid in (space.w1, space.w2, space.gradient))
     delta, _steps = _outer_displacement(w1s, d, constants)
-    evals, D, kinv12, kinv13 = _chain_modes(w1s[:, np.newaxis], w2s,
-                                            (d + delta)[:, np.newaxis], constants)
+    evals, centre, side, _wide, kinv12, kinv13 = _chain_modes(
+        w1s[:, np.newaxis], w2s, (d + delta)[:, np.newaxis], constants)
     stable = np.all(evals > 0.0, axis=-1)  # normal_modes' stability check
     evals = np.where(stable[..., np.newaxis], evals, np.nan)
     dwdz = frequency_gradient(grads, constants)
@@ -156,8 +163,11 @@ def _sweep_stage(d: float, space: SearchSpace, constants: PhysicalConstants,
     # mode axis first: each mode's bound is one (W1, W2, gradient) array, and
     # the max over modes a max of whole arrays
     nu = np.sqrt(evals.transpose(2, 0, 1) / constants.mass)[..., np.newaxis]
-    i1, i2, i3 = np.abs(D.transpose(2, 3, 0, 1))[..., np.newaxis]  # |D| per ion
-    top = np.maximum(np.maximum(i1, i2), i3)
+    # each mode's largest |D_il|, from the non-negative half-column values:
+    # the outer ions' entries are equal, and the antisymmetric mode's is
+    # 1/sqrt2 at every point, so its bound is one scalar product
+    centre, side, r = centre[..., np.newaxis], side[..., np.newaxis], math.sqrt(0.5)
+    top = (np.maximum(r * centre, side), np.maximum(r * side, centre), r)
     m1, m2, m3 = (top[l] * _lamb_dicke_scale(nu[l], dwdz, constants) for l in range(3))
     eps_max = np.maximum(np.maximum(m1, m2), m3)  # exact, and NaN-propagating as np.max
     feasible = eps_max < space.eps_ceiling
@@ -191,21 +201,22 @@ def _search(d: float, space: SearchSpace, constants: PhysicalConstants,
     for corner in (0, 1):  # TrapLayout's bounds hold on the grids if at their ends
         TrapLayout(d, space.w1[corner], space.w2[corner], constants)
     trace: list | None = [] if collect_trace else None
-    evaluations, bests, stage_space = 0, [], space
-    for _stage in range(2):
-        best = _sweep_stage(d, stage_space, constants, trace)
-        evaluations += stage_space.w1[2] * stage_space.w2[2] * stage_space.gradient[2]
-        if best is None:
-            break
-        bests.append(best)
-        w1, w2, gradient = best.params.w1, best.params.w2, best.params.gradient
-        stage_space = replace(space, w1=_refined(space.w1, w1), w2=_refined(space.w2, w2),
-                              gradient=_refined(space.gradient, gradient))
-    trace = tuple(trace or ())
-    if not bests:
-        return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan, evaluations, False, trace)
-    best = min(bests, key=lambda best: _rank(best.J, best.eps_max, best.params.gradient))
-    return replace(best, evaluations=evaluations, trace=trace)
+    best = _sweep_stage(d, space, constants, trace)
+    evaluations = space.w1[2] * space.w2[2] * space.gradient[2]
+    if best is None:
+        return SearchResult(None, 0.0, 0.0, np.inf, np.nan, np.nan, evaluations, False,
+                            tuple(trace or ()))
+    p = best.params
+    refined = replace(space, w1=_refined(space.w1, p.w1), w2=_refined(space.w2, p.w2),
+                      gradient=_refined(space.gradient, p.gradient))
+    bests = (best, _sweep_stage(d, refined, constants, trace))
+    evaluations += refined.w1[2] * refined.w2[2] * refined.gradient[2]
+    best = min(filter(None, bests), key=lambda b: _rank(b.J, b.eps_max, b.params.gradient))
+    return replace(best, evaluations=evaluations, trace=tuple(trace or ()))
+
+
+#: the space both searches take by default; a `SearchSpace` is immutable
+_DEFAULT_SPACE = SearchSpace()
 
 
 def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
@@ -219,7 +230,7 @@ def maximize_J_multitrap(d: float, space: SearchSpace | None = None,
     """
     if not (_finite_real(d) and d > 0.0):
         raise ValueError(f"trap spacing d must be finite and positive, got {d!r}")
-    return _search(float(d), space or SearchSpace(), constants, collect_trace)
+    return _search(float(d), space or _DEFAULT_SPACE, constants, collect_trace)
 
 
 def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
@@ -232,5 +243,5 @@ def maximize_J_linear(h_target: float, space: SearchSpace | None = None,
     only the gradient is searched (two stages), under the eps ceiling.
     """
     w = linear_frequency_for_spacing(h_target, constants)
-    space = replace(space or SearchSpace(), w1=(w, w, 1), w2=(w, w, 1))
+    space = replace(space or _DEFAULT_SPACE, w1=(w, w, 1), w2=(w, w, 1))
     return _search(0.0, space, constants, collect_trace)

@@ -222,9 +222,10 @@ def _outer_displacement(w1, d: float, constants):
 
 
 def _chain_modes(w1, w2, h, constants):
-    """Hessian eigenvalues (..., 3), mode vectors (..., 3, 3) and the inverse
-    entries [K^-1]_12, [K^-1]_13 of the symmetric chain with outer frequency
-    W1, center frequency W2 and ion spacing h.
+    """Hessian eigenvalues (..., 3), the symmetric modes' half-column values
+    ``centre`` and ``side`` with the ``wide`` mask, and the inverse entries
+    [K^-1]_12, [K^-1]_13 of the symmetric chain with outer frequency W1,
+    center frequency W2 and ion spacing h.
 
     With c1 = 2k/h^3 and c2 = k/(4h^3) the Hessian is
     [[a, -c1, -c2], [-c1, b, -c1], [-c2, -c1, a]], a = m W1^2 + c1 + c2,
@@ -236,7 +237,11 @@ def _chain_modes(w1, w2, h, constants):
     each eigenvector takes the row form (sqrt2 c1, A - lam) or
     (b - lam, sqrt2 c1) that does not cancel. The cofactors give
     [K^-1]_12 = c1 / det and [K^-1]_13 = (c1^2 + b c2) / ((a + c2) det).
-    Eigenvalues come in the order (lam-, lam+, a + c2), unsorted.
+    Eigenvalues come in the order (lam-, lam+, a + c2), unsorted; the mode
+    vectors, in the same order, are `_mode_matrix` of (centre, side, wide):
+    the lam- mode is (centre/sqrt2, side, centre/sqrt2), and the lam+ mode
+    takes the magnitudes (side/sqrt2, centre, side/sqrt2). Both values are
+    non-negative, so no mode matrix is needed for the largest |D_il| of a mode.
     """
     kh3 = constants.coulomb / (h * h * h)
     c1, c2 = 2.0 * kh3, 0.25 * kh3
@@ -259,14 +264,21 @@ def _chain_modes(w1, w2, h, constants):
     norm = np.sqrt(q * q + t * t)
     q, t = q / norm, t / norm
     wide = s >= 0.0
+    return (lam, np.where(wide, q, t), np.where(wide, t, q), wide,
+            c1 / det, (c1 * c1 + b * c2) / (anti * det))
+
+
+def _mode_matrix(centre, side, wide):
+    """The mode vectors (..., 3, 3), as columns in `_chain_modes`' eigenvalue
+    order, from its half-column values ``centre``, ``side`` and ``wide``."""
     r = math.sqrt(0.5)
-    D = np.empty(shape + (3, 3))
-    D[..., 0, 0] = D[..., 2, 0] = r * np.where(wide, q, t)
-    D[..., 1, 0] = np.where(wide, t, q)
-    D[..., 0, 1] = D[..., 2, 1] = r * np.where(wide, -t, q)
-    D[..., 1, 1] = np.where(wide, q, -t)
+    D = np.empty(np.shape(centre) + (3, 3))
+    D[..., 0, 0] = D[..., 2, 0] = r * centre
+    D[..., 1, 0] = side
+    D[..., 0, 1] = D[..., 2, 1] = r * np.where(wide, -side, side)
+    D[..., 1, 1] = np.where(wide, centre, -centre)
     D[..., :, 2] = (r, 0.0, -r)
-    return lam, D, c1 / det, (c1 * c1 + b * c2) / (anti * det)
+    return D
 
 
 # -- public operations ------------------------------------------------------
@@ -337,12 +349,13 @@ def normal_modes(layout: TrapLayout, eq: EquilibriumSolution) -> NormalModes:
     nu_l = sqrt(lambda_l / m) with lambda_l the Hessian eigenvalues, from
     the closed form of `_chain_modes` at spacing eq.h.
     """
-    evals, vecs, kinv12, kinv13 = _chain_modes(layout.w1, layout.w2, eq.h, layout.constants)
+    evals, centre, side, wide, kinv12, kinv13 = _chain_modes(layout.w1, layout.w2, eq.h,
+                                                            layout.constants)
     if not np.all(evals > 0.0):  # NaN fails too
         raise UnstableModesError(
             f"non-positive Hessian eigenvalue {evals.min():.3e}; configuration unstable")
     order = np.argsort(evals, kind="stable")
-    evals, vecs = evals[order], vecs[:, order]
+    evals, vecs = evals[order], _mode_matrix(centre, side, wide)[:, order]
     nu = np.sqrt(evals / layout.constants.mass)
     for col in range(3):
         mags = np.abs(vecs[:, col])

@@ -291,6 +291,19 @@ class TestGoldenSearchReports:
         assert (code, out, err) == (0, golden, "")
 
 
+class TestGoldenModesReports:
+    """Each preset's `modes` report, byte for byte, against the file written by
+    an earlier version of the trap: it pins every bit of nu and of the mode
+    matrix D, which the search reports above print only through eps_max."""
+
+    @pytest.mark.parametrize("name", sorted(g.PRESETS))
+    def test_report_equals_golden_file(self, capsys, name):
+        with open(os.path.join(GOLDEN, f"modes_{name}.json"), "rb") as f:
+            golden = f.read().decode()
+        code, out, err = run_cli(capsys, ["modes", "--preset", name, "--format", "json"])
+        assert (code, out, err) == (0, golden, "")
+
+
 class TestPresetReproduction:
     @pytest.mark.parametrize("name", sorted(g.PRESETS))
     def test_preset_rederives_reference_row(self, capsys, name):

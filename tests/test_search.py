@@ -305,10 +305,10 @@ class TestRowArraySearchMatchesOracle:
         chain_modes = trap._chain_modes
 
         def flipped(w1, w2, h, constants):
-            evals, D, kinv12, kinv13 = chain_modes(w1, w2, h, constants)
+            evals, *rest = chain_modes(w1, w2, h, constants)
             low = np.broadcast_to(np.asarray(w2) < g.TWO_PI * 1.2e6, evals.shape[:-1])
             evals[low] = -evals[low]
-            return evals, D, kinv12, kinv13
+            return (evals, *rest)
 
         monkeypatch.setattr(trap, "_chain_modes", flipped)
         monkeypatch.setattr(search, "_chain_modes", flipped)
@@ -338,8 +338,8 @@ class TestRowArraySearchMatchesOracle:
         chain_modes = trap._chain_modes
 
         def negated(w1, w2, h, constants):
-            evals, D, kinv12, kinv13 = chain_modes(w1, w2, h, constants)
-            return -evals, D, kinv12, kinv13
+            evals, *rest = chain_modes(w1, w2, h, constants)
+            return (-evals, *rest)
 
         monkeypatch.setattr(search, "_chain_modes", negated)
         result = g.maximize_J_multitrap(4e-6, small_space(), collect_trace=True)
@@ -395,13 +395,45 @@ class TestReadOut:
             assert type(got) is float and bits(got) == bits(want), name
 
 
+class TestNoModeMatrix:
+    """A search reads each mode's largest |D_il| from `trap._chain_modes`'
+    half-column values; only `normal_modes` builds a mode matrix."""
+
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    @pytest.mark.parametrize("run", [g.maximize_J_multitrap, g.maximize_J_linear])
+    def test_search_never_builds_a_mode_matrix(self, monkeypatch, run, collect_trace):
+        unpatched = repr(run(4e-6, collect_trace=collect_trace))
+
+        def refused(*args):
+            raise AssertionError("the search built a mode matrix")
+
+        monkeypatch.setattr(trap, "_mode_matrix", refused)
+        monkeypatch.setattr(search, "_mode_matrix", refused, raising=False)
+        assert repr(run(4e-6, collect_trace=collect_trace)) == unpatched
+
+    def test_mode_maxima_equal_the_mode_matrix_maxima(self):
+        # the stage's per-mode bound against the columns of the mode matrix
+        c, r = g.DEFAULT_CONSTANTS, np.sqrt(0.5)
+        rng = np.random.default_rng(7)
+        w1, w2 = g.TWO_PI * 10.0 ** rng.uniform(4.0, 7.0, (2, 400))
+        h = 10.0 ** rng.uniform(-7.0, -5.0, 400)
+        _evals, centre, side, wide, _k12, _k13 = trap._chain_modes(w1, w2, h, c)
+        assert wide.any() and not wide.all()
+        top = np.abs(trap._mode_matrix(centre, side, wide)).max(axis=-2)
+        assert np.array_equal(top[:, 0], np.maximum(r * centre, side))
+        assert np.array_equal(top[:, 1], np.maximum(r * side, centre))
+        assert np.all(top[:, 2] == r)
+
+
 class TestStageMemory:
     def test_stage_peak_stays_under_eight_grid_arrays(self):
         # One default-space stage allocates its Lamb-Dicke bound one mode at a
         # time, so no temporary is larger than one (W1, W2, gradient) float
-        # array (16 x 16 x 30 x 8 B = 60 KiB). With numpy 2.4.6 its peak is
-        # 426 KiB, 7.1 such arrays; building the bound as (3, W1, W2, gradient)
-        # arrays instead peaks at 553 KiB, 9.2, and fails this test.
+        # array (16 x 16 x 30 x 8 B = 60 KiB), and it builds no mode matrix.
+        # With numpy 2.4.6 its peak is 393 KiB, 6.5 such arrays (426 KiB, 7.1,
+        # while a stage built a (W1, W2, 3, 3) mode-matrix stack); building the
+        # bound as (3, W1, W2, gradient) arrays instead peaks at 553 KiB, 9.2,
+        # and fails this test.
         space = g.SearchSpace()
         grid = space.w1[2] * space.w2[2] * space.gradient[2] * 8
         search._sweep_stage(4e-6, space, g.DEFAULT_CONSTANTS, None)  # caches warm

@@ -228,8 +228,8 @@ class TestNormalModes:
         chain_modes = trap._chain_modes
 
         def negated(*args):
-            evals, D, kinv12, kinv13 = chain_modes(*args)
-            return -evals, D, kinv12, kinv13
+            evals, *rest = chain_modes(*args)
+            return (-evals, *rest)
 
         monkeypatch.setattr(trap, "_chain_modes", negated)
         with pytest.raises(g.UnstableModesError):
@@ -284,8 +284,9 @@ class TestClosedFormModes:
         w1s, w2s = np.linspace(*space.w1), np.linspace(*space.w2)
         for d in np.random.default_rng(4).uniform(1e-6, 7e-6, 20).tolist() + [4e-6]:
             delta, _steps = trap._outer_displacement(w1s, d, c)
-            evals, D, kinv12, kinv13 = trap._chain_modes(
+            evals, centre, side, wide, kinv12, kinv13 = trap._chain_modes(
                 w1s[:, np.newaxis], w2s, (d + delta)[:, np.newaxis], c)
+            D = trap._mode_matrix(centre, side, wide)
             for i, w1 in enumerate(w1s.tolist()):
                 for j, w2 in enumerate(w2s.tolist()):
                     layout = g.TrapLayout.multi_trap(d, w1, w2)
